@@ -12,7 +12,9 @@ first-kind triangle:
     c_n(r)       = sum_k w(n, k) / (k + 1)
     chat_n(-r)   = sum_k (-1)^k w(n, k) / (k + 1)
 
-so ``cauchy_second`` substitutes r -> -r into the alternating sum.  Each
+so ``cauchy_second`` substitutes r -> -r into the alternating sum.  At a
+rational point, ``cauchy_value`` takes the same sums over one integer row
+of the first-kind triangle and never builds the polynomial.  Each
 construction has an independent oracle: the ``*_integral`` functions build
 the defining product factor by factor and integrate it termwise, and
 ``cauchy_first_via_stirling`` uses the closed double sum over Stirling
@@ -44,12 +46,14 @@ of the first failing case otherwise; the boolean form just wraps it.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from fractions import Fraction
+from math import lcm
 
 from . import triangles
 from .arith import binomial
 from .poly import ONE, Q, R, ZERO, BiPoly, XPoly
-from .triangles import rising_factorial, stirling_first_row
+from .triangles import TriangleKind, rising_factorial, stirling_first_row
 
 
 class CauchyKind(enum.Enum):
@@ -129,9 +133,32 @@ def cauchy_first_via_stirling(n: int) -> BiPoly:
     return total
 
 
+def cauchy_value(kind: CauchyKind, n: int, q0: Fraction | int, r0: Fraction | int) -> Fraction:
+    """c_n(r) or chat_n(r) at the rational point (q0, r0), without the polynomial.
+
+    Sums one integer row of the first-kind triangle, u_k = w(n, k) * D^(n-k)
+    at (q0, r0), exactly: c_n = sum_k u_k D^k / (k + 1) / D^n, over the
+    common denominator lcm(1..n+1) * D^n.  The second kind is the same sum
+    at (q0, -r0) with sign (-1)^k.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    second = kind is CauchyKind.SECOND
+    powers, rows = triangles.scaled_rows(
+        TriangleKind.WHITNEY_FIRST, n, q0, -Fraction(r0) if second else r0
+    )
+    row = deque(rows, maxlen=1).pop()
+    common = lcm(*range(1, n + 2))
+    total = sum(
+        (-u if second and k % 2 else u) * powers[k] * (common // (k + 1))
+        for k, u in enumerate(row)
+    )
+    return Fraction(total, common * powers[n])
+
+
 def cauchy_number(kind: CauchyKind, n: int) -> Fraction:
     """Classical Cauchy number of the given kind: the value at q = 1, r = 0."""
-    return cauchy_poly(kind, n).eval_at(1, 0)
+    return cauchy_value(kind, n, 1, 0)
 
 
 def q_cauchy_number(kind: CauchyKind, n: int) -> BiPoly:

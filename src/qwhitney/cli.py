@@ -11,26 +11,23 @@ Formats are text (default), json, csv, and latex.  Rationals on the
 command line are written "a" or "a/b".  All output is exact; no floating
 point appears anywhere.  Results go to standard output and counterexample
 diagnostics to the error stream.  Exit codes: 0 on success, 1 when a
-verification suite finds a failing identity, 2 on usage errors.
+verification suite finds a failing identity, 2 on usage errors, 130 on an
+interrupt, and 141 when the reader of standard output closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import suites
-from .cauchy import CauchyKind, cauchy_poly
+from .cauchy import CauchyKind, cauchy_poly, cauchy_value
 from .poly import BiPoly
 from .series import Series, cauchy_first_egf, cauchy_second_egf, whitney_column_egf
-from .triangles import (
-    TriangleKind,
-    triangle,
-    whitney_first_values,
-    whitney_second_values,
-)
+from .triangles import TriangleKind, triangle, value_rows
 
 FORMATS = ("text", "json", "csv", "latex")
 
@@ -42,6 +39,11 @@ _TRIANGLE_KINDS = {
 }
 
 _MAX_REPORTED_FAILURES = 20
+
+# 128 + the signal number, as a shell reports a process ended by SIGPIPE or
+# SIGINT.
+_EXIT_BROKEN_PIPE = 141
+_EXIT_INTERRUPTED = 130
 
 
 class UsageError(Exception):
@@ -121,65 +123,52 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     r0 = args.r0 if args.r0 is not None else 0
     n_max = args.n_max
     fmt = args.format
+    header: dict[str, object] = {"kind": kind, "n_max": n_max}
+    if kind == "sr":
+        header["r0"] = r0
 
-    numeric: list[list[Fraction]] | None = None
     if args.eval is not None:
         q0, rv = args.eval
-        # The Stirling kinds are constant in q and r, so the requested
-        # evaluation point does not affect them.
-        if kind == "w":
-            numeric = whitney_first_values(n_max, q0, rv)
-        elif kind == "W":
-            numeric = whitney_second_values(n_max, q0, rv)
-        elif kind == "s":
-            numeric = whitney_first_values(n_max, 1, 0)
+        header["eval"] = {"q": str(q0), "r": str(rv)}
+        # The Stirling kinds are the first kind at q = 1, r = r0 (0 for s),
+        # so the requested evaluation point does not affect them.
+        point = (q0, rv) if kind in ("w", "W") else (1, r0)
+        base = TriangleKind.WHITNEY_SECOND if kind == "W" else TriangleKind.WHITNEY_FIRST
+        values = value_rows(base, n_max, *point)
+        if fmt == "json":
+            rows = ([{"num": a, "den": b} for a, b in row] for row in values)
         else:
-            numeric = whitney_first_values(n_max, 1, r0)
-
-    if fmt == "json":
-        payload: dict[str, object] = {"kind": kind, "n_max": n_max}
-        if kind == "sr":
-            payload["r0"] = r0
-        if args.eval is not None:
-            q0, rv = args.eval
-            payload["eval"] = {"q": str(q0), "r": str(rv)}
-            payload["entries"] = [[_rat_json(v) for v in row] for row in numeric]
-        else:
-            tri = triangle(_TRIANGLE_KINDS[kind], n_max, r0 if kind == "sr" else None)
-            payload["entries"] = [
-                [tri.entry(n, k).to_records() for k in range(n + 1)] for n in range(n_max + 1)
-            ]
-        print(_json_dump(payload))
-        return 0
-
-    if numeric is not None:
-        cells = [[str(v) for v in row] for row in numeric]
+            rows = ([f"{a}/{b}" if b != 1 else f"{a}" for a, b in row] for row in values)
     else:
         tri = triangle(_TRIANGLE_KINDS[kind], n_max, r0 if kind == "sr" else None)
-        cells = [
-            [_poly_str(tri.entry(n, k), fmt) for k in range(n + 1)] for n in range(n_max + 1)
-        ]
+        if fmt == "json":
+            rows = ([p.to_records() for p in tri.row(n)] for n in range(n_max + 1))
+        else:
+            rows = ([_poly_str(p, fmt) for p in tri.row(n)] for n in range(n_max + 1))
 
+    # Rows are written as they are made, so only one is held at a time.
+    write = sys.stdout.write
+    if fmt == "json":
+        write(_json_dump(header)[:-1] + ',"entries":[')
+        for n, row in enumerate(rows):
+            write(("," if n else "") + _json_dump(row))
+        write("]}\n")
+        return 0
     if fmt == "csv":
-        print("n,k,value")
-        for n, row in enumerate(cells):
-            for k, value in enumerate(row):
-                print(f"{n},{k},{value}")
-    else:
-        for n, row in enumerate(cells):
-            for k, value in enumerate(row):
-                print(f"n={n} k={k}: {value}")
+        write("n,k,value\n")
+    cell = "{},{},{}\n" if fmt == "csv" else "n={} k={}: {}\n"
+    for n, row in enumerate(rows):
+        write("".join([cell.format(n, k, value) for k, value in enumerate(row)]))
     return 0
 
 
 def _cmd_cauchy(args: argparse.Namespace) -> int:
     kind = CauchyKind(args.kind)
-    poly = cauchy_poly(kind, args.n)
     fmt = args.format
 
     if args.eval is not None:
         q0, rv = args.eval
-        value = poly.eval_at(q0, rv)
+        value = cauchy_value(kind, args.n, q0, rv)
         if fmt == "json":
             payload = {
                 "kind": args.kind,
@@ -195,6 +184,7 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
             print(value)
         return 0
 
+    poly = cauchy_poly(kind, args.n)
     if fmt == "json":
         print(_json_dump({"kind": args.kind, "n": args.n, "entries": poly.to_records()}))
     elif fmt == "csv":
@@ -290,17 +280,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_shift_values(argv: list[str]) -> list[str]:
+    """Write "--shift-values VALUE" as "--shift-values=VALUE".
+
+    argparse reads a separate value that starts with "-" but is not a plain
+    negative number, such as -1/2, as an option; the joined form it reads
+    as a value.  Abbreviations of the option are joined the same way.
+    """
+    joined: list[str] = []
+    args = iter(argv)
+    for arg in args:
+        if len(arg) > 2 and "--shift-values".startswith(arg):
+            value = next(args, None)
+            if value is not None:
+                arg = f"{arg}={value}"
+        joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_shift_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Exact results can have any number of digits.  The interpreter's cap on
+    # integer-string conversion (Python 3.11 and later) stays in force for
+    # parsing, so that huge input literals are still rejected there.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone.  Point standard output at devnull so that the
+        # flush at interpreter exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        return _EXIT_INTERRUPTED
+    finally:
+        if set_digits is not None:
+            set_digits(digits)
 
 
 if __name__ == "__main__":

@@ -14,11 +14,13 @@ Second kind (W):  x^n = sum_k W(n, k) * (x - r | q)_k
 Setting q = 1, r = 0 in the first kind gives the signed Stirling numbers of
 the first kind; q = 1, r = r0 gives the r-Stirling variant shifted so that
 entry (n, k) holds the coefficient tied to (n + r0, k + r0) in the doubly
-shifted convention.  Entries are BiPoly values; ``*_values`` builders run
-the same recurrences over plain Fractions for fast evaluation at a rational
-point.  ``row_poly`` reassembles sum_k w(n, k) x^k as an XPoly so callers
-can check it against the defining product, and ``whitney_first_cheon``
-computes a single first-kind entry from the closed double-sum form
+shifted convention.  Entries are BiPoly values.  At a rational point
+(q0, r0) = (A/D, C/D), ``scaled_rows`` runs the same recurrence step over
+the integers u(n, k) = w(n, k) * D^(n-k) (or W), and ``value_rows`` reduces
+each entry to lowest terms only when it is read out.  ``row_poly``
+reassembles sum_k w(n, k) x^k as an XPoly so callers can check it against
+the defining product, and ``whitney_first_cheon`` computes a single
+first-kind entry from the closed double-sum form
 
     w(n, k) = sum_{i} C(n, i) * (-1)^(n-i) * q^(i-k) * [r|q]_(n-i) * s(i, k)
 
@@ -31,6 +33,8 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from typing import Iterator
 
 from .arith import binomial
 from .poly import ONE, Q, R, ZERO, BiPoly, XPoly
@@ -94,41 +98,36 @@ class Triangle:
         return XPoly(self.row(n))
 
 
-def _whitney_first_rows(n_max: int) -> tuple[tuple[BiPoly, ...], ...]:
-    rows: list[tuple[BiPoly, ...]] = [(ONE,)]
+def _rows(kind: TriangleKind, n_max: int, q, r, one) -> Iterator[list]:
+    """Rows 0..n_max of w or W, with q and r taken from any commutative ring.
+
+    Both triangles follow one step, row[k] = prev[k-1] + m_k * prev[k] with
+    entries outside 0..n read as zero; only the multiplier differs:
+    m_k = -(n*q + r) for the first kind and m_k = k*q + r for the second.
+    """
+    second = kind is TriangleKind.WHITNEY_SECOND
+    row = [one]
+    yield row
     for n in range(n_max):
-        prev = rows[-1]
-        factor = Q.scale(n) + R
-        row = []
-        for k in range(n + 2):
-            entry = prev[k - 1] if k >= 1 else ZERO
-            if k <= n:
-                entry = entry - factor * prev[k]
-            row.append(entry)
-        rows.append(tuple(row))
-    return tuple(rows)
+        mults = [k * q + r for k in range(n + 1)] if second else [-(n * q + r)] * (n + 1)
+        row = [
+            mults[0] * row[0],
+            *[a + m * b for a, m, b in zip(row, mults[1:], row[1:])],
+            row[-1],
+        ]
+        yield row
 
 
-def _whitney_second_rows(n_max: int) -> tuple[tuple[BiPoly, ...], ...]:
-    rows: list[tuple[BiPoly, ...]] = [(ONE,)]
-    for n in range(n_max):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 2):
-            entry = prev[k - 1] if k >= 1 else ZERO
-            if k <= n:
-                entry = entry + (Q.scale(k) + R) * prev[k]
-            row.append(entry)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _symbolic_rows(kind: TriangleKind, n_max: int) -> tuple[tuple[BiPoly, ...], ...]:
+    return tuple(tuple(row) for row in _rows(kind, n_max, Q, R, ONE))
 
 
 @lru_cache(maxsize=None)
-def _substituted_rows(base: str, n_max: int, r0: int) -> tuple[tuple[BiPoly, ...], ...]:
-    """First- or second-kind rows with q = 1 and r = r0 substituted."""
-    builder = _whitney_first_rows if base == "w" else _whitney_second_rows
+def _substituted_rows(n_max: int, r0: int) -> tuple[tuple[BiPoly, ...], ...]:
+    """First-kind rows with q = 1 and r = r0 substituted."""
     return tuple(
-        tuple(p.subst_q(0, 1).subst_r(0, r0) for p in row) for row in builder(n_max)
+        tuple(p.subst_q(0, 1).subst_r(0, r0) for p in row)
+        for row in _symbolic_rows(TriangleKind.WHITNEY_FIRST, n_max)
     )
 
 
@@ -136,21 +135,25 @@ def whitney_first(n_max: int) -> Triangle:
     """First-kind triangle with symbolic q and r, rows 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return Triangle(TriangleKind.WHITNEY_FIRST, n_max, _whitney_first_rows(n_max))
+    return Triangle(
+        TriangleKind.WHITNEY_FIRST, n_max, _symbolic_rows(TriangleKind.WHITNEY_FIRST, n_max)
+    )
 
 
 def whitney_second(n_max: int) -> Triangle:
     """Second-kind triangle with symbolic q and r, rows 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return Triangle(TriangleKind.WHITNEY_SECOND, n_max, _whitney_second_rows(n_max))
+    return Triangle(
+        TriangleKind.WHITNEY_SECOND, n_max, _symbolic_rows(TriangleKind.WHITNEY_SECOND, n_max)
+    )
 
 
 def stirling_first(n_max: int) -> Triangle:
     """Signed Stirling numbers of the first kind (q = 1, r = 0)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return Triangle(TriangleKind.STIRLING_FIRST, n_max, _substituted_rows("w", n_max, 0))
+    return Triangle(TriangleKind.STIRLING_FIRST, n_max, _substituted_rows(n_max, 0))
 
 
 def r_stirling_first(n_max: int, r0: int) -> Triangle:
@@ -160,47 +163,87 @@ def r_stirling_first(n_max: int, r0: int) -> Triangle:
     if r0 < 0:
         raise ValueError("r0 must be a nonnegative integer")
     return Triangle(
-        TriangleKind.R_STIRLING_FIRST, n_max, _substituted_rows("w", n_max, r0), r0=r0
+        TriangleKind.R_STIRLING_FIRST, n_max, _substituted_rows(n_max, r0), r0=r0
     )
 
 
-def whitney_first_values(n_max: int, q0: Fraction | int, r0: Fraction | int) -> list[list[Fraction]]:
-    """First-kind rows evaluated at a rational point, via the same recurrence."""
+def scaled_rows(
+    kind: TriangleKind, n_max: int, q0: Fraction | int, r0: Fraction | int
+) -> tuple[list[int], Iterator[list[int]]]:
+    """Integer rows u(n, k) = entry(n, k) * D^(n-k) of w or W at (q0, r0).
+
+    With D the least common multiple of the denominators, q0 = A/D and
+    r0 = C/D, the scaled entries follow the triangle's own step with q and r
+    replaced by the integers A and C, so no Fraction appears in the loop.
+    Returns the powers D^0..D^n_max and an iterator over rows 0..n_max,
+    each a new list.
+    """
+    if kind not in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
+        raise ValueError("numeric rows exist for the w and W kinds only")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     q0 = Fraction(q0)
     r0 = Fraction(r0)
-    rows = [[Fraction(1)]]
-    for n in range(n_max):
-        prev = rows[-1]
-        factor = n * q0 + r0
-        row = []
-        for k in range(n + 2):
-            entry = prev[k - 1] if k >= 1 else Fraction(0)
-            if k <= n:
-                entry = entry - factor * prev[k]
-            row.append(entry)
-        rows.append(row)
-    return rows
+    d = lcm(q0.denominator, r0.denominator)
+    powers = [1]
+    for _ in range(n_max):
+        powers.append(powers[-1] * d)
+    a = q0.numerator * (d // q0.denominator)
+    c = r0.numerator * (d // r0.denominator)
+    return powers, _rows(kind, n_max, a, c, 1)
+
+
+def _lowest_terms(u: int, m: int, powers: list[int]) -> tuple[int, int]:
+    """u / D^m as (numerator, denominator) in lowest terms; powers[j] = D^j.
+
+    Only primes of D can cancel, so gcd(u mod D, D) = 1 settles an entry.
+    Otherwise gcd(u, D^j) is taken on u mod D^j for j = 1, 2, 4, ...
+    (capped at m) until it stops growing, which it does once it equals
+    gcd(u, D^m).  No gcd of full-size operands is taken.
+    """
+    if not u:
+        return 0, 1
+    if not m:
+        return u, 1
+    j, g = 1, gcd(u % powers[1], powers[1])
+    while g != 1 and j < m:
+        j = min(2 * j, m)
+        grown = gcd(u % powers[j], powers[j])
+        if grown == g:
+            break
+        g = grown
+    if g == 1:
+        return u, powers[m]
+    return u // g, powers[m] // g
+
+
+def value_rows(
+    kind: TriangleKind, n_max: int, q0: Fraction | int, r0: Fraction | int
+) -> Iterator[list[tuple[int, int]]]:
+    """Rows of w or W at (q0, r0), one at a time, as (num, den) pairs.
+
+    Each pair is in lowest terms with den > 0, as in ``Fraction``.
+    """
+    powers, rows = scaled_rows(kind, n_max, q0, r0)
+    return (
+        [_lowest_terms(u, n - k, powers) for k, u in enumerate(row)]
+        for n, row in enumerate(rows)
+    )
+
+
+def _fraction_rows(kind: TriangleKind, n_max: int, q0, r0) -> list[list[Fraction]]:
+    powers, rows = scaled_rows(kind, n_max, q0, r0)
+    return [[Fraction(u, powers[n - k]) for k, u in enumerate(row)] for n, row in enumerate(rows)]
+
+
+def whitney_first_values(n_max: int, q0: Fraction | int, r0: Fraction | int) -> list[list[Fraction]]:
+    """First-kind rows evaluated at a rational point, as Fractions."""
+    return _fraction_rows(TriangleKind.WHITNEY_FIRST, n_max, q0, r0)
 
 
 def whitney_second_values(n_max: int, q0: Fraction | int, r0: Fraction | int) -> list[list[Fraction]]:
-    """Second-kind rows evaluated at a rational point, via the same recurrence."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    q0 = Fraction(q0)
-    r0 = Fraction(r0)
-    rows = [[Fraction(1)]]
-    for n in range(n_max):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 2):
-            entry = prev[k - 1] if k >= 1 else Fraction(0)
-            if k <= n:
-                entry = entry + (k * q0 + r0) * prev[k]
-            row.append(entry)
-        rows.append(row)
-    return rows
+    """Second-kind rows evaluated at a rational point, as Fractions."""
+    return _fraction_rows(TriangleKind.WHITNEY_SECOND, n_max, q0, r0)
 
 
 def triangle(kind: TriangleKind, n_max: int, r0: int | None = None) -> Triangle:
@@ -252,21 +295,15 @@ def falling_factorial_x(m: int) -> XPoly:
 def stirling_first_row(n: int) -> tuple[int, ...]:
     """Row n of the signed first-kind Stirling triangle, as plain integers.
 
-    Computed by its own integer recurrence, independent of the symbolic
-    triangles, so it can serve as an oracle for them.
+    Computed by its own integer loop, independent of the row step that the
+    symbolic and numeric triangles share, so it can serve as an oracle for
+    them.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return (1,)
-    prev = stirling_first_row(n - 1)
-    m = n - 1
-    row = []
-    for k in range(n + 1):
-        entry = prev[k - 1] if k >= 1 else 0
-        if k <= m:
-            entry -= m * prev[k]
-        row.append(entry)
+    row = [1]
+    for m in range(n):
+        row = [(row[k - 1] if k else 0) - (m * row[k] if k <= m else 0) for k in range(m + 2)]
     return tuple(row)
 
 

@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwhitney import (
@@ -25,6 +26,7 @@ from qwhitney import (
     whitney_second,
 )
 from qwhitney.cauchy import (
+    cauchy_value,
     cheon_counterexample,
     classical_shift_counterexample,
     inversion_counterexample,
@@ -32,8 +34,14 @@ from qwhitney.cauchy import (
 )
 
 from _golden import FIRST_KIND, SECOND_KIND, classical_cauchy_oracle
+from _points import eval_points
 
 shift_values = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6)
+
+
+@lru_cache(maxsize=None)
+def _integral(kind, n):
+    return cauchy_first_integral(n) if kind is CauchyKind.FIRST else cauchy_second_integral(n)
 
 
 class TestFrozenPolynomials:
@@ -109,6 +117,24 @@ class TestNumbers:
         for n in range(11):
             assert cauchy_number(CauchyKind.FIRST, n) == classical_cauchy_oracle("first", n)
             assert cauchy_number(CauchyKind.SECOND, n) == classical_cauchy_oracle("second", n)
+
+    def test_numbers_are_the_polynomials_at_the_unit_point(self):
+        for n in range(21):
+            for kind in CauchyKind:
+                assert cauchy_number(kind, n) == cauchy_poly(kind, n).eval_at(1, 0)
+
+    @given(eval_points)
+    @example((F(0), F(0)))
+    @example((F(5, 12), F(-7, 18)))
+    def test_values_at_a_point_match_the_integral(self, point):
+        q0, r0 = point
+        for kind in CauchyKind:
+            for n in range(9):
+                assert cauchy_value(kind, n, q0, r0) == _integral(kind, n).eval_at(q0, r0)
+
+    def test_value_rejects_negative_index(self):
+        with pytest.raises(ValueError):
+            cauchy_value(CauchyKind.FIRST, -1, 1, 0)
 
     def test_q_numbers(self):
         assert q_cauchy_number(CauchyKind.FIRST, 0) == ONE

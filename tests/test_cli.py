@@ -1,25 +1,49 @@
+import contextlib
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
 
+import pytest
+
 from qwhitney import (
     ONE,
     BiPoly,
+    CauchyKind,
     Triangle,
     TriangleKind,
     cauchy_first,
     cauchy_second,
+    falling_factorial_x,
+    q_cauchy_number,
     whitney_column_egf,
     whitney_first,
 )
 from qwhitney.cli import main
+
+# Python 3.11 and later cap integer-string conversion; 3.10 has no cap.
+_set_digits = getattr(sys, "set_int_max_str_digits", None)
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: None)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the cap on integer-string conversion, so a test can format its oracle."""
+    if _set_digits is None:
+        yield
+        return
+    before = _get_digits()
+    _set_digits(0)
+    try:
+        yield
+    finally:
+        _set_digits(before)
 
 
 class TestPinnedExamples:
@@ -116,6 +140,32 @@ class TestFormats:
         assert code == 0
         assert out == "n,k,value\n0,0,1\n1,0,1/3\n1,1,1\n2,0,1/9\n2,1,7/6\n2,2,1\n"
 
+    @pytest.mark.parametrize(
+        "argv, header, point",
+        [
+            (
+                ("--kind", "w", "--eval", "q=1/3,r=-2/7"),
+                {"kind": "w", "n_max": 6, "eval": {"q": "1/3", "r": "-2/7"}},
+                (F(1, 3), F(-2, 7)),
+            ),
+            (
+                ("--kind", "sr", "--r0", "2", "--eval", "q=5/12,r=-7/18"),
+                {"kind": "sr", "n_max": 6, "r0": 2, "eval": {"q": "5/12", "r": "-7/18"}},
+                (1, 2),
+            ),
+        ],
+    )
+    def test_streamed_eval_json_is_one_payload(self, capsys, argv, header, point):
+        code, out, _ = run_cli(capsys, "triangle", "--n-max", "6", *argv, "--format", "json")
+        assert code == 0
+        entries = []
+        for n in range(7):
+            product = falling_factorial_x(n)
+            values = [product.coeff(k).eval_at(*point) for k in range(n + 1)]
+            entries.append([{"num": v.numerator, "den": v.denominator} for v in values])
+        payload = dict(header, entries=entries)
+        assert out == json.dumps(payload, separators=(",", ":")) + "\n"
+
     def test_egf_text(self, capsys):
         code, out, _ = run_cli(capsys, "egf", "--which", "c", "--order", "1")
         assert code == 0
@@ -152,6 +202,12 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("option", ["--shift-values", "--shift"])
+    def test_negative_first_shift_as_its_own_argument(self, capsys, option):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "shift", "--n-max", "2", option, "-1/2")
+        assert code == 0
+        assert out == "suite shift: ok (3 checks)\n"
+
     def test_corrupted_triangle_fails(self, capsys, monkeypatch):
         import qwhitney.triangles as triangles_mod
 
@@ -171,6 +227,76 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "counterexample" in err
+
+
+class TestLargeAndInterruptedOutput:
+    HUGE_Q = "1/1" + "0" * 200
+
+    def test_cauchy_value_beyond_the_digit_limit(self, capsys):
+        q0 = F(1, 10**200)
+        argv = ("cauchy", "--kind", "first", "--n", "25", "--eval", f"q={self.HUGE_Q},r=0")
+        before = _get_digits()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert _get_digits() == before
+        with no_digit_limit():
+            want = q_cauchy_number(CauchyKind.FIRST, 25).eval_at(q0, 0)
+            assert len(str(want.denominator)) > 4300
+            assert out == f"{want}\n"
+
+    def test_triangle_json_beyond_the_digit_limit(self, capsys):
+        q0 = F(1, 10**200)
+        code, out, err = run_cli(
+            capsys, "triangle", "--kind", "W", "--n-max", "25",
+            "--eval", f"q={self.HUGE_Q},r=1", "--format", "json",
+        )
+        assert code == 0, err
+        with no_digit_limit():
+            row = json.loads(out)["entries"][25]
+        total = F(0)
+        basis = F(1)  # (x0 - r | q)_k at x0 = 3
+        for k, entry in enumerate(row):
+            total += F(entry["num"], entry["den"]) * basis
+            basis *= 3 - 1 - k * q0
+        assert total == 3**25
+
+    @pytest.mark.skipif(_set_digits is None, reason="no cap on integer-string conversion")
+    def test_huge_input_literal_still_rejected(self, capsys):
+        huge = "1" + "0" * 5000
+        code, _, _ = run_cli(
+            capsys, "cauchy", "--kind", "first", "--n", "1", "--eval", f"q={huge},r=0"
+        )
+        assert code == 2
+
+    def test_closed_pipe_exits_without_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qwhitney", "triangle", "--kind", "w", "--n-max", "200",
+             "--eval", "q=1/3,r=2/7"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first == b"n=0 k=0: 1\n"
+        assert b"Traceback" not in err
+        assert err == b""
+        assert code == 141
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        import qwhitney.suites as suites_mod
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(suites_mod, "run_suite", interrupted)
+        code, _, _ = run_cli(capsys, "verify", "--suite", "shift", "--n-max", "1")
+        assert code == 130
 
 
 class TestUsageErrors:

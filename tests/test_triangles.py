@@ -1,7 +1,8 @@
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwhitney import (
@@ -26,6 +27,9 @@ from qwhitney import (
     whitney_second,
     whitney_second_values,
 )
+from qwhitney.triangles import scaled_rows, value_rows
+
+from _points import eval_points, rationals
 
 points = st.fractions(min_value=F(-5), max_value=F(5), max_denominator=6)
 
@@ -107,6 +111,17 @@ class TestStirling:
         for n in range(6):
             for k in range(n + 1):
                 assert tri.entry(n, k).is_const()
+
+    def test_cold_large_row(self):
+        # A cold call used to recurse once per row and hit the recursion limit.
+        stirling_first_row.cache_clear()
+        row = stirling_first_row(1500)
+        assert len(row) == 1501
+        assert row[0] == 0 and row[1500] == 1
+        assert row[1] == -factorial(1499)
+        assert row[1499] == -comb(1500, 2)
+        assert sum(row) == 0  # the product x (x - 1) ... vanishes at x = 1
+        assert stirling_first_row(1500) is row
 
 
 class TestRStirling:
@@ -202,6 +217,58 @@ class TestNumericValues:
         for n in range(7):
             for k in range(n + 1):
                 assert values[n][k] == tri.entry(n, k).eval_at(q0, r0)
+
+
+class TestIntegerKernel:
+    """The scaled integer rows, checked against oracles that share no code with them."""
+
+    @given(eval_points)
+    @example((F(0), F(0)))
+    @example((F(5, 12), F(-7, 18)))
+    @example((F(1, 2), F(1, 2)))
+    def test_first_kind_pairs_match_the_product(self, point):
+        q0, r0 = point
+        for n, row in enumerate(value_rows(TriangleKind.WHITNEY_FIRST, 8, q0, r0)):
+            product = falling_factorial_x(n)
+            assert len(row) == n + 1
+            for k, pair in enumerate(row):
+                want = product.coeff(k).eval_at(q0, r0)
+                assert pair == (want.numerator, want.denominator)
+
+    @given(eval_points, rationals)
+    @example((F(5, 12), F(-7, 18)), F(1, 3))
+    def test_second_kind_rows_reassemble_the_monomial(self, point, x0):
+        q0, r0 = point
+        for n, row in enumerate(value_rows(TriangleKind.WHITNEY_SECOND, 8, q0, r0)):
+            total = F(0)
+            basis = F(1)  # (x0 - r0 | q0)_k
+            for k, (num, den) in enumerate(row):
+                assert F(num, den).as_integer_ratio() == (num, den)
+                total += F(num, den) * basis
+                basis *= x0 - r0 - k * q0
+            assert total == x0**n
+
+    def test_deep_reduction(self):
+        # At q = r = 1/2 the column k = 0 is (-1)^n n!/2^n, whose numerator
+        # shares nearly n factors of 2 with the scaled denominator 2^n.
+        for n, row in enumerate(value_rows(TriangleKind.WHITNEY_FIRST, 64, F(1, 2), F(1, 2))):
+            want = F((-1) ** n * factorial(n), 2**n)
+            assert row[0] == (want.numerator, want.denominator)
+            assert row[n] == (1, 1)
+
+    def test_scaled_entries_are_integers_times_powers(self):
+        powers, rows = scaled_rows(TriangleKind.WHITNEY_FIRST, 3, F(1, 2), F(1, 3))
+        assert powers == [1, 6, 36, 216]
+        rows = list(rows)
+        # w(1, 0) = -r = -1/3 = -2/6 and w(2, 1) = -(2r + q) = -7/6.
+        assert rows[1] == [-2, 1]
+        assert rows[2][1] == -7
+
+    def test_rejects_other_kinds_and_negative_rows(self):
+        with pytest.raises(ValueError):
+            scaled_rows(TriangleKind.STIRLING_FIRST, 3, 1, 0)
+        with pytest.raises(ValueError):
+            value_rows(TriangleKind.WHITNEY_SECOND, -1, 1, 0)
 
 
 class TestDispatcher:
