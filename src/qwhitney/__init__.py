@@ -8,7 +8,7 @@ checkable against an independent oracle through the verification suites
 (see ``run_suite`` and the ``qwhitney`` command-line tool).
 """
 
-from .arith import Rational, binomial, factorial
+from .arith import binomial
 from .cauchy import (
     CauchyKind,
     cauchy_first,
@@ -19,10 +19,6 @@ from .cauchy import (
     cauchy_second,
     cauchy_second_integral,
     q_cauchy_number,
-    verify_cheon,
-    verify_classical_shift,
-    verify_inversion,
-    verify_shift,
 )
 from .poly import ONE, Q, R, ZERO, BiPoly, XPoly
 from .series import (
@@ -62,7 +58,6 @@ __all__ = [
     "ONE",
     "Q",
     "R",
-    "Rational",
     "Series",
     "SuiteResult",
     "Triangle",
@@ -83,7 +78,6 @@ __all__ = [
     "cauchy_second_integral",
     "egf_term",
     "expm1_div",
-    "factorial",
     "falling_factorial",
     "falling_factorial_x",
     "log1p_qt_over_q",
@@ -95,10 +89,6 @@ __all__ = [
     "stirling_first_row",
     "suite_names",
     "triangle",
-    "verify_cheon",
-    "verify_classical_shift",
-    "verify_inversion",
-    "verify_shift",
     "whitney_column_egf",
     "whitney_first",
     "whitney_first_cheon",

@@ -2,22 +2,13 @@
 
 Python integers are already arbitrary precision, and ``fractions.Fraction``
 is already the normalized rational we need (positive denominator, reduced to
-lowest terms, canonical zero ``0/1``), so this module only adds the two
-combinatorial scalars used throughout and re-exports the coefficient type
-under its domain name.
+lowest terms, canonical zero ``0/1``), so this module only adds the
+combinatorial scalar used throughout.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-Rational = Fraction
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:

@@ -27,7 +27,8 @@ and only sending r to 0 gives the one-parameter numbers
     c_n^q    = sum_k q^(n-k) s(n, k) / (k + 1)
     chat_n^q = sum_k (-1)^k q^(n-k) s(n, k) / (k + 1).
 
-The ``verify_*`` functions check the remaining identities: the shift law
+The ``*_counterexample`` functions check the remaining identities: the
+shift law
 
     c_n(r + s) = sum_j (-1)^(n-j) C(n, j) [r|q]_(n-j) c_j(s),
 
@@ -38,9 +39,8 @@ relations against the second-kind triangle
     sum_k W(n, k) chat_k(-r) = (-1)^n/(n+1),
 
 and the q = 1 specialization of the shift law where the right side is a
-binomial convolution of classical Cauchy numbers.  Each verifier has a
-``*_counterexample`` twin that returns None on success and a description
-of the first failing case otherwise; the boolean form just wraps it.
+binomial convolution of classical Cauchy numbers.  Each returns None on
+success and a description of the first failing case otherwise.
 """
 
 from __future__ import annotations
@@ -61,26 +61,25 @@ class CauchyKind(enum.Enum):
     SECOND = "second"
 
 
-def cauchy_first(n: int) -> BiPoly:
-    """c_n(r) as a polynomial in q and r, from the first-kind triangle row."""
+def _row_sum(n: int, alternating: bool) -> BiPoly:
+    """sum_k w(n, k) / (k + 1), with sign (-1)^k on each term if alternating."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     row = triangles.whitney_first(n).row(n)
     total = ZERO
     for k, w_nk in enumerate(row):
-        total = total + w_nk.scale(Fraction(1, k + 1))
+        total = total + w_nk.scale(Fraction(-1 if alternating and k % 2 else 1, k + 1))
     return total
+
+
+def cauchy_first(n: int) -> BiPoly:
+    """c_n(r) as a polynomial in q and r, from the first-kind triangle row."""
+    return _row_sum(n, alternating=False)
 
 
 def cauchy_second(n: int) -> BiPoly:
     """chat_n(r), via the alternating row sum evaluated at -r."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    row = triangles.whitney_first(n).row(n)
-    total = ZERO
-    for k, w_nk in enumerate(row):
-        total = total + w_nk.scale(Fraction((-1) ** k, k + 1))
-    return total.subst_r(-1, 0)
+    return _row_sum(n, alternating=True).subst_r(-1, 0)
 
 
 def cauchy_poly(kind: CauchyKind, n: int) -> BiPoly:
@@ -202,15 +201,12 @@ def shift_counterexample(n: int, s: Fraction | int) -> str | None:
     return f"shift law fails at n={n}, s={s}: lhs={lhs}, rhs={rhs}"
 
 
-def verify_shift(n: int, s: Fraction | int) -> bool:
-    return shift_counterexample(n, s) is None
-
-
 def inversion_counterexample(n: int) -> str | None:
     """Check both row sums against the second-kind triangle.
 
     sum_k W(n, k) c_k(r) must collapse to the constant 1/(n+1), and
-    sum_k W(n, k) chat_k(-r) to (-1)^n/(n+1).
+    sum_k W(n, k) chat_k(-r) to (-1)^n/(n+1); chat_k(-r) is the alternating
+    row sum itself.
     """
     w2 = triangles.whitney_second(n)
     lhs_first = ZERO
@@ -218,7 +214,7 @@ def inversion_counterexample(n: int) -> str | None:
     for k in range(n + 1):
         entry = w2.entry(n, k)
         lhs_first = lhs_first + entry * cauchy_first(k)
-        lhs_second = lhs_second + entry * cauchy_second(k).subst_r(-1, 0)
+        lhs_second = lhs_second + entry * _row_sum(k, alternating=True)
     target_first = BiPoly.const(Fraction(1, n + 1))
     target_second = BiPoly.const(Fraction((-1) ** n, n + 1))
     if lhs_first != target_first:
@@ -226,10 +222,6 @@ def inversion_counterexample(n: int) -> str | None:
     if lhs_second != target_second:
         return f"second-kind inversion fails at n={n}: got {lhs_second}"
     return None
-
-
-def verify_inversion(n: int) -> bool:
-    return inversion_counterexample(n) is None
 
 
 def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
@@ -257,10 +249,6 @@ def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
     return None
 
 
-def verify_cheon(n: int, s: Fraction | int) -> bool:
-    return cheon_counterexample(n, s) is None
-
-
 def classical_shift_counterexample(n: int) -> str | None:
     """Check the q = 1 shift law against classical Cauchy numbers.
 
@@ -276,7 +264,3 @@ def classical_shift_counterexample(n: int) -> str | None:
     if lhs == rhs:
         return None
     return f"classical shift law fails at n={n}: lhs={lhs}, rhs={rhs}"
-
-
-def verify_classical_shift(n: int) -> bool:
-    return classical_shift_counterexample(n) is None

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -50,11 +51,18 @@ class UsageError(Exception):
     """Semantic command-line error; maps to exit code 2."""
 
 
+# "a" or "a/b" only: Fraction alone would also read decimals and exponents,
+# and expand a literal such as 1e1000000000 into a huge integer.
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"invalid rational {text!r}") from exc
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass  # a zero denominator, or more digits than int() converts
+    raise argparse.ArgumentTypeError(f"invalid rational {text!r}")
 
 
 def _parse_eval(text: str) -> tuple[Fraction, Fraction]:

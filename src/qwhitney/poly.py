@@ -172,41 +172,30 @@ class BiPoly:
 
     def subst_r(self, a: Fraction | int, b: Fraction | int) -> BiPoly:
         """Replace r by a*r + b (rational a, b), expanded to canonical form."""
-        a = _as_fraction(a)
-        b = _as_fraction(b)
-        out: dict[Key, Fraction] = {}
-        for (dq, dr), c in self._terms.items():
-            # (a*r + b)^dr expanded by the binomial theorem
-            for i in range(dr + 1):
-                w = c * binomial(dr, i) * a**i * b ** (dr - i)
-                if not w:
-                    continue
-                key = (dq, i)
-                s = out.get(key, Fraction(0)) + w
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        result = BiPoly.__new__(BiPoly)
-        result._terms = out
-        return result
+        return self._subst(1, a, b)
 
     def subst_q(self, a: Fraction | int, b: Fraction | int) -> BiPoly:
         """Replace q by a*q + b (rational a, b), expanded to canonical form."""
+        return self._subst(0, a, b)
+
+    def _subst(self, var: int, a: Fraction | int, b: Fraction | int) -> BiPoly:
+        """Replace the variable at key position var (0 for q, 1 for r) by a*var + b."""
         a = _as_fraction(a)
         b = _as_fraction(b)
         out: dict[Key, Fraction] = {}
-        for (dq, dr), c in self._terms.items():
-            for i in range(dq + 1):
-                w = c * binomial(dq, i) * a**i * b ** (dq - i)
+        for key, c in self._terms.items():
+            d = key[var]
+            # (a*var + b)^d expanded by the binomial theorem
+            for i in range(d + 1):
+                w = c * binomial(d, i) * a**i * b ** (d - i)
                 if not w:
                     continue
-                key = (i, dr)
-                s = out.get(key, Fraction(0)) + w
+                key_i = (key[0], i) if var else (i, key[1])
+                s = out.get(key_i, Fraction(0)) + w
                 if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                    out[key_i] = s
+                elif key_i in out:
+                    del out[key_i]
         result = BiPoly.__new__(BiPoly)
         result._terms = out
         return result

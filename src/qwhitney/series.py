@@ -24,8 +24,8 @@ and polynomial constructors must reproduce.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .arith import factorial
 from .poly import ONE, ZERO, BiPoly
 
 

@@ -17,7 +17,8 @@ entry (n, k) holds the coefficient tied to (n + r0, k + r0) in the doubly
 shifted convention.  Entries are BiPoly values.  At a rational point
 (q0, r0) = (A/D, C/D), ``scaled_rows`` runs the same recurrence step over
 the integers u(n, k) = w(n, k) * D^(n-k) (or W), and ``value_rows`` reduces
-each entry to lowest terms only when it is read out.  ``row_poly``
+each entry to lowest terms only when it is read out; the Stirling kinds are
+those integer rows at q = 1, r = r0, where D = 1.  ``row_poly``
 reassembles sum_k w(n, k) x^k as an XPoly so callers can check it against
 the defining product, and ``whitney_first_cheon`` computes a single
 first-kind entry from the closed double-sum form
@@ -118,53 +119,48 @@ def _rows(kind: TriangleKind, n_max: int, q, r, one) -> Iterator[list]:
         yield row
 
 
-def _symbolic_rows(kind: TriangleKind, n_max: int) -> tuple[tuple[BiPoly, ...], ...]:
-    return tuple(tuple(row) for row in _rows(kind, n_max, Q, R, ONE))
+def triangle(kind: TriangleKind, n_max: int, r0: int | None = None) -> Triangle:
+    """Build a triangle by kind; r0 applies to the r-Stirling kind only.
 
-
-@lru_cache(maxsize=None)
-def _substituted_rows(n_max: int, r0: int) -> tuple[tuple[BiPoly, ...], ...]:
-    """First-kind rows with q = 1 and r = r0 substituted."""
-    return tuple(
-        tuple(p.subst_q(0, 1).subst_r(0, r0) for p in row)
-        for row in _symbolic_rows(TriangleKind.WHITNEY_FIRST, n_max)
-    )
+    The w and W kinds run the row step over BiPoly with symbolic q and r.
+    The Stirling kinds are the first kind at the integer point q = 1,
+    r = r0 (0 for s), where the scaled integer rows of ``scaled_rows`` are
+    the entries themselves.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if kind is TriangleKind.R_STIRLING_FIRST:
+        r0 = 0 if r0 is None else r0
+        if not isinstance(r0, int) or r0 < 0:
+            raise ValueError("r0 must be a nonnegative integer")
+    elif r0 is not None:
+        raise ValueError("r0 only applies to the r-Stirling kind")
+    if kind in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
+        rows = _rows(kind, n_max, Q, R, ONE)
+    else:
+        _, ints = scaled_rows(TriangleKind.WHITNEY_FIRST, n_max, 1, r0 or 0)  # r0 is None for s
+        rows = ([BiPoly.const(u) for u in row] for row in ints)
+    return Triangle(kind, n_max, tuple(tuple(row) for row in rows), r0=r0)
 
 
 def whitney_first(n_max: int) -> Triangle:
     """First-kind triangle with symbolic q and r, rows 0..n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return Triangle(
-        TriangleKind.WHITNEY_FIRST, n_max, _symbolic_rows(TriangleKind.WHITNEY_FIRST, n_max)
-    )
+    return triangle(TriangleKind.WHITNEY_FIRST, n_max)
 
 
 def whitney_second(n_max: int) -> Triangle:
     """Second-kind triangle with symbolic q and r, rows 0..n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return Triangle(
-        TriangleKind.WHITNEY_SECOND, n_max, _symbolic_rows(TriangleKind.WHITNEY_SECOND, n_max)
-    )
+    return triangle(TriangleKind.WHITNEY_SECOND, n_max)
 
 
 def stirling_first(n_max: int) -> Triangle:
     """Signed Stirling numbers of the first kind (q = 1, r = 0)."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return Triangle(TriangleKind.STIRLING_FIRST, n_max, _substituted_rows(n_max, 0))
+    return triangle(TriangleKind.STIRLING_FIRST, n_max)
 
 
 def r_stirling_first(n_max: int, r0: int) -> Triangle:
     """Signed r-Stirling numbers of the first kind (q = 1, r = r0 >= 0)."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if r0 < 0:
-        raise ValueError("r0 must be a nonnegative integer")
-    return Triangle(
-        TriangleKind.R_STIRLING_FIRST, n_max, _substituted_rows(n_max, r0), r0=r0
-    )
+    return triangle(TriangleKind.R_STIRLING_FIRST, n_max, r0)
 
 
 def scaled_rows(
@@ -244,23 +240,6 @@ def whitney_first_values(n_max: int, q0: Fraction | int, r0: Fraction | int) -> 
 def whitney_second_values(n_max: int, q0: Fraction | int, r0: Fraction | int) -> list[list[Fraction]]:
     """Second-kind rows evaluated at a rational point, as Fractions."""
     return _fraction_rows(TriangleKind.WHITNEY_SECOND, n_max, q0, r0)
-
-
-def triangle(kind: TriangleKind, n_max: int, r0: int | None = None) -> Triangle:
-    """Build a triangle by kind; r0 applies to the r-Stirling kind only."""
-    if kind is TriangleKind.WHITNEY_FIRST:
-        if r0 is not None:
-            raise ValueError("r0 only applies to the r-Stirling kind")
-        return whitney_first(n_max)
-    if kind is TriangleKind.WHITNEY_SECOND:
-        if r0 is not None:
-            raise ValueError("r0 only applies to the r-Stirling kind")
-        return whitney_second(n_max)
-    if kind is TriangleKind.STIRLING_FIRST:
-        if r0 is not None:
-            raise ValueError("r0 only applies to the r-Stirling kind")
-        return stirling_first(n_max)
-    return r_stirling_first(n_max, 0 if r0 is None else r0)
 
 
 # -- factorial polynomials -----------------------------------------------------

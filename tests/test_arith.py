@@ -4,17 +4,11 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qwhitney import binomial, factorial
+from qwhitney import binomial
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
 )
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(10) == 3628800
 
 
 def test_binomial_values():

@@ -19,10 +19,6 @@ from qwhitney import (
     cauchy_second,
     cauchy_second_integral,
     q_cauchy_number,
-    verify_cheon,
-    verify_classical_shift,
-    verify_inversion,
-    verify_shift,
     whitney_second,
 )
 from qwhitney.cauchy import (
@@ -166,7 +162,7 @@ class TestInversion:
 
     def test_range(self):
         for n in range(11):
-            assert verify_inversion(n)
+            assert inversion_counterexample(n) is None
 
     def test_counterexample_is_none_on_success(self):
         assert inversion_counterexample(7) is None
@@ -174,8 +170,8 @@ class TestInversion:
 
 class TestShiftLaws:
     def test_base_cases(self):
-        assert verify_shift(0, F(7, 2))
-        assert verify_shift(5, 0)
+        assert shift_counterexample(0, F(7, 2)) is None
+        assert shift_counterexample(5, 0) is None
 
     @given(st.integers(0, 7), shift_values)
     def test_shift_holds(self, n, s):
@@ -190,9 +186,9 @@ class TestShiftLaws:
 
     def test_classical(self):
         for n in range(11):
-            assert verify_classical_shift(n)
+            assert classical_shift_counterexample(n) is None
         assert classical_shift_counterexample(8) is None
 
     def test_verifier_wrappers(self):
-        assert verify_cheon(4, F(-2))
-        assert verify_shift(6, F(3, 5))
+        assert cheon_counterexample(4, F(-2)) is None
+        assert shift_counterexample(6, F(3, 5)) is None

@@ -313,6 +313,26 @@ class TestUsageErrors:
             code, _, _ = run_cli(capsys, "cauchy", "--kind", "first", "--n", "2", "--eval", text)
             assert code == 2, text
 
+    @pytest.mark.parametrize("literal", ["1e1000000000", "1.5", "1e3", "1_000", "3/4.0"])
+    def test_rational_outside_the_documented_form(self, capsys, literal):
+        # Fraction alone would read these, the first by building a 10^9-digit integer.
+        code, _, err = run_cli(
+            capsys, "cauchy", "--kind", "first", "--n", "2", "--eval", f"q={literal},r=0"
+        )
+        assert code == 2
+        assert "invalid rational" in err
+        code, _, _ = run_cli(
+            capsys, "verify", "--suite", "shift", "--n-max", "1", f"--shift-values={literal}"
+        )
+        assert code == 2
+
+    def test_rational_with_surrounding_spaces(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "cauchy", "--kind", "first", "--n", "1", "--eval", "q= 1 ,r= -1/2 "
+        )
+        assert code == 0
+        assert out == "1\n"
+
     def test_negative_index(self, capsys):
         code, _, _ = run_cli(capsys, "cauchy", "--kind", "first", "--n", "-3")
         assert code == 2

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,6 @@ from qwhitney import (
     log1p_qt_over_q,
     whitney_column_egf,
 )
-from qwhitney import factorial
 
 from _golden import FIRST_KIND, SECOND_KIND
 

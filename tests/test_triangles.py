@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given
@@ -112,6 +112,11 @@ class TestStirling:
             for k in range(n + 1):
                 assert tri.entry(n, k).is_const()
 
+    def test_rows_at_scale_match_integer_rows(self):
+        tri = stirling_first(60)
+        for n in range(61):
+            assert tri.row(n) == tuple(BiPoly.const(c) for c in stirling_first_row(n))
+
     def test_cold_large_row(self):
         # A cold call used to recurse once per row and hit the recursion limit.
         stirling_first_row.cache_clear()
@@ -142,6 +147,14 @@ class TestRStirling:
     def test_negative_shift_rejected(self):
         with pytest.raises(ValueError):
             r_stirling_first(3, -1)
+
+    def test_rows_at_scale_expand_the_shifted_product(self):
+        # Row n of the r0 = 3 triangle expands (x - 3)(x - 4)...(x - 3 - (n-1)).
+        tri = r_stirling_first(60, 3)
+        for x0 in (-4, 2, 71):
+            for n in range(61):
+                total = sum(e.const_value() * x0**k for k, e in enumerate(tri.row(n)))
+                assert total == prod(x0 - 3 - i for i in range(n))
 
     def test_shifted_recurrence(self):
         for r0 in (0, 1, 3):
@@ -286,10 +299,23 @@ class TestDispatcher:
         assert sr.row(3) == stirling_first(3).row(3)
 
     def test_shift_rejected_for_other_kinds(self):
+        for kind in set(TriangleKind) - {TriangleKind.R_STIRLING_FIRST}:
+            with pytest.raises(ValueError):
+                triangle(kind, 3, r0=1)
+            with pytest.raises(ValueError):
+                triangle(kind, 3, r0=0)
+
+    @pytest.mark.parametrize("r0", [-1, F(1, 2), F(3), 2.0])
+    def test_shift_must_be_a_nonnegative_int(self, r0):
         with pytest.raises(ValueError):
-            triangle(TriangleKind.WHITNEY_FIRST, 3, r0=1)
+            triangle(TriangleKind.R_STIRLING_FIRST, 3, r0=r0)
         with pytest.raises(ValueError):
-            triangle(TriangleKind.STIRLING_FIRST, 3, r0=1)
+            r_stirling_first(3, r0)
+
+    @pytest.mark.parametrize("kind", list(TriangleKind))
+    def test_negative_row_count_rejected(self, kind):
+        with pytest.raises(ValueError):
+            triangle(kind, -1)
 
     def test_triangle_type(self):
         tri = whitney_first(2)
