@@ -40,7 +40,9 @@ relations against the second-kind triangle
 
 and the q = 1 specialization of the shift law where the right side is a
 binomial convolution of classical Cauchy numbers.  Each returns None on
-success and a description of the first failing case otherwise.
+success and a description of the first failing case otherwise.  Each
+check builds one first-kind triangle and reads every row sum it needs
+from it, and the three shift laws share one helper for their right side.
 """
 
 from __future__ import annotations
@@ -61,11 +63,8 @@ class CauchyKind(enum.Enum):
     SECOND = "second"
 
 
-def _row_sum(n: int, alternating: bool) -> BiPoly:
-    """sum_k w(n, k) / (k + 1), with sign (-1)^k on each term if alternating."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    row = triangles.whitney_first(n).row(n)
+def _row_sum(row: tuple[BiPoly, ...], alternating: bool) -> BiPoly:
+    """sum_k w(n, k) / (k + 1) over row n, with sign (-1)^k on each term if alternating."""
     total = ZERO
     for k, w_nk in enumerate(row):
         total = total + w_nk.scale(Fraction(-1 if alternating and k % 2 else 1, k + 1))
@@ -74,12 +73,16 @@ def _row_sum(n: int, alternating: bool) -> BiPoly:
 
 def cauchy_first(n: int) -> BiPoly:
     """c_n(r) as a polynomial in q and r, from the first-kind triangle row."""
-    return _row_sum(n, alternating=False)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _row_sum(triangles.whitney_first(n).row(n), alternating=False)
 
 
 def cauchy_second(n: int) -> BiPoly:
     """chat_n(r), via the alternating row sum evaluated at -r."""
-    return _row_sum(n, alternating=True).subst_r(-1, 0)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _row_sum(triangles.whitney_first(n).row(n), alternating=True).subst_r(-1, 0)
 
 
 def cauchy_poly(kind: CauchyKind, n: int) -> BiPoly:
@@ -183,19 +186,29 @@ def q_cauchy_number(kind: CauchyKind, n: int) -> BiPoly:
 # -- identity verifiers --------------------------------------------------------
 
 
+def _shift_sum(n: int, rise: list[BiPoly], terms) -> BiPoly:
+    """sum_j (-1)^(n-j) C(n, j) rise[n-j] v_j over the pairs (j, v_j) in terms.
+
+    The right side of each shift law.  v_j is a polynomial or a number; a
+    caller leaves out the pairs whose v_j is known to be zero.
+    """
+    return sum((rise[n - j] * (v * (binomial(n, j) * (-1) ** (n - j))) for j, v in terms), ZERO)
+
+
 def shift_counterexample(n: int, s: Fraction | int) -> str | None:
     """Check c_n(r + s) = sum_j (-1)^(n-j) C(n, j) [r|q]_(n-j) c_j(s).
 
     The left side substitutes r -> r + s; on the right, c_j(s) is the
     polynomial with r replaced by the constant s (a polynomial in q only),
-    while the rising factorial carries the r dependence.
+    while the rising factorial carries the r dependence.  Every c_j is a
+    row sum of the one triangle built for n.
     """
     s = Fraction(s)
-    lhs = cauchy_first(n).subst_r(1, s)
-    rhs = ZERO
-    for j in range(n + 1):
-        c = binomial(n, j) * (-1 if (n - j) % 2 == 1 else 1)
-        rhs = rhs + (rising_factorial(n - j) * cauchy_first(j).subst_r(0, s)).scale(c)
+    tri = triangles.whitney_first(n)
+    c = [_row_sum(tri.row(j), alternating=False) for j in range(n + 1)]
+    lhs = c[n].subst_r(1, s)
+    rise = [rising_factorial(m) for m in range(n + 1)]
+    rhs = _shift_sum(n, rise, enumerate(c_j.subst_r(0, s) for c_j in c))
     if lhs == rhs:
         return None
     return f"shift law fails at n={n}, s={s}: lhs={lhs}, rhs={rhs}"
@@ -206,21 +219,14 @@ def inversion_counterexample(n: int) -> str | None:
 
     sum_k W(n, k) c_k(r) must collapse to the constant 1/(n+1), and
     sum_k W(n, k) chat_k(-r) to (-1)^n/(n+1); chat_k(-r) is the alternating
-    row sum itself.
+    row sum itself.  Both sums read the rows of one first-kind triangle.
     """
-    w2 = triangles.whitney_second(n)
-    lhs_first = ZERO
-    lhs_second = ZERO
-    for k in range(n + 1):
-        entry = w2.entry(n, k)
-        lhs_first = lhs_first + entry * cauchy_first(k)
-        lhs_second = lhs_second + entry * _row_sum(k, alternating=True)
-    target_first = BiPoly.const(Fraction(1, n + 1))
-    target_second = BiPoly.const(Fraction((-1) ** n, n + 1))
-    if lhs_first != target_first:
-        return f"first-kind inversion fails at n={n}: got {lhs_first}"
-    if lhs_second != target_second:
-        return f"second-kind inversion fails at n={n}: got {lhs_second}"
+    tri = triangles.whitney_first(n)
+    w2 = triangles.whitney_second(n).row(n)
+    for alternating, kind in ((False, "first"), (True, "second")):
+        lhs = sum((w * _row_sum(tri.row(k), alternating) for k, w in enumerate(w2)), ZERO)
+        if lhs != BiPoly.const(Fraction((-1) ** n if alternating else 1, n + 1)):
+            return f"{kind}-kind inversion fails at n={n}: got {lhs}"
     return None
 
 
@@ -233,19 +239,13 @@ def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
     """
     s = Fraction(s)
     tri = triangles.whitney_first(n)
-    shifted = [tri.entry(n, k).subst_r(1, s) for k in range(n + 1)]
-    at_s = [[tri.entry(j, k).subst_r(0, s) for k in range(j + 1)] for j in range(n + 1)]
+    at_s = [[w.subst_r(0, s) for w in tri.row(j)] for j in range(n + 1)]
     rise = [rising_factorial(m) for m in range(n + 1)]
-    for k in range(n + 1):
-        rhs = ZERO
-        for j in range(k, n + 1):
-            c = binomial(n, j) * (-1 if (n - j) % 2 == 1 else 1)
-            rhs = rhs + (rise[n - j] * at_s[j][k]).scale(c)
-        if rhs != shifted[k]:
-            return (
-                f"triangle shift law fails at n={n}, k={k}, s={s}: "
-                f"lhs={shifted[k]}, rhs={rhs}"
-            )
+    for k, w_nk in enumerate(tri.row(n)):
+        lhs = w_nk.subst_r(1, s)
+        rhs = _shift_sum(n, rise, ((j, at_s[j][k]) for j in range(k, n + 1)))
+        if lhs != rhs:
+            return f"triangle shift law fails at n={n}, k={k}, s={s}: lhs={lhs}, rhs={rhs}"
     return None
 
 
@@ -256,11 +256,8 @@ def classical_shift_counterexample(n: int) -> str | None:
     sum_i C(n, i) (-1)^(n-i) [r|1]_(n-i) c_i with c_i the classical numbers.
     """
     lhs = cauchy_first(n).subst_q(0, 1)
-    rhs = ZERO
-    for i in range(n + 1):
-        c = binomial(n, i) * (-1 if (n - i) % 2 == 1 else 1)
-        value = cauchy_number(CauchyKind.FIRST, i) * c
-        rhs = rhs + rising_factorial(n - i, step=ONE).scale(value)
+    rise = [rising_factorial(m, step=ONE) for m in range(n + 1)]
+    rhs = _shift_sum(n, rise, ((i, cauchy_number(CauchyKind.FIRST, i)) for i in range(n + 1)))
     if lhs == rhs:
         return None
     return f"classical shift law fails at n={n}: lhs={lhs}, rhs={rhs}"

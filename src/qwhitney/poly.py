@@ -185,8 +185,9 @@ class BiPoly:
         out: dict[Key, Fraction] = {}
         for key, c in self._terms.items():
             d = key[var]
-            # (a*var + b)^d expanded by the binomial theorem
-            for i in range(d + 1):
+            # (a*var + b)^d expanded by the binomial theorem; for a = 0 only
+            # the i = 0 term survives
+            for i in range(d + 1 if a else 1):
                 w = c * binomial(d, i) * a**i * b ** (d - i)
                 if not w:
                     continue

@@ -1,0 +1,74 @@
+"""Drive the command line with argv lists built from its own vocabulary.
+
+Every argv must end in a documented exit code (0, 1 or 2) without an
+uncaught exception.  Sizes stay at 3 or below, so each run is quick.
+"""
+
+import contextlib
+import io
+from itertools import chain
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qwhitney.cli import main
+
+SIZES = ("0", "1", "2", "3")
+FORMATS = ("text", "json", "csv", "latex")
+POINTS = ("q=1/3,r=2/7", "q=-1,r=0", "r=2,q=5/3", "q=0,r=0", "q= 1 ,r= -1/2 ")
+SHIFTS = ("0,1/2,-3", "-1/2", "7,-17/29", "2")
+
+# Well-formed values of each subcommand's options.
+COMMANDS = {
+    "triangle": {
+        "--kind": ("w", "W", "s", "sr"), "--n-max": SIZES, "--r0": SIZES,
+        "--eval": POINTS, "--format": FORMATS,
+    },
+    "cauchy": {"--kind": ("first", "second"), "--n": SIZES, "--eval": POINTS, "--format": FORMATS},
+    "egf": {"--which": ("c", "chat", "w:0", "w:2", "w:3"), "--order": SIZES, "--format": FORMATS},
+    "verify": {
+        "--suite": ("all", "shift", "cheon", "inversion", "egf"), "--n-max": SIZES,
+        "--shift-values": SHIFTS, "--shift": SHIFTS,
+    },
+}
+
+# Malformed values and stray tokens.
+NOISE = (
+    "-1", "x", "", "-h", "--help", "w:", "w:-1", "w:x", "bogus", "1/0", "1.5", "1e3", "3/4.0",
+    "q=1", "q=1,r=1/0", "q=x,r=1", "q=1,q=2", "a=1,b=2", "1,,2", ",", "--n-max", "--kind",
+)
+
+
+def _value(valid: tuple[str, ...]):
+    """A well-formed value seven times in eight, else a malformed one."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(valid if i else NOISE))
+
+
+def _option(name: str, valid: tuple[str, ...]):
+    """The option left out, as two arguments, or joined with "="."""
+    value = _value(valid)
+    return st.one_of(st.just(()), st.tuples(st.just(name), value), value.map(lambda v: (f"{name}={v}",)))
+
+
+def _command(name: str, options: dict[str, tuple[str, ...]]):
+    """The subcommand, then its options in any order, then perhaps a stray token."""
+    groups = st.tuples(*(_option(o, valid) for o, valid in options.items())).flatmap(st.permutations)
+    return st.builds(
+        lambda body, extra: [name, *chain.from_iterable(body), *extra],
+        groups,
+        st.lists(st.sampled_from(NOISE), max_size=1),
+    )
+
+
+argvs = st.one_of(
+    *(_command(name, options) for name, options in COMMANDS.items()),
+    st.lists(st.sampled_from(tuple(COMMANDS) + NOISE), max_size=4),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(argvs)
+def test_any_argv_ends_in_a_documented_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwhitney import ONE, Q, R, ZERO, BiPoly, XPoly
@@ -97,10 +97,18 @@ class TestSubstitution:
         assert p.subst_r(-1, 0).subst_r(-1, 0) == p
 
     @given(bipolys, points, points)
+    @example(Q * R * R * R - R * R + Q, F(0), F(5, 3))
     def test_subst_r_matches_evaluation(self, p, a, b):
         q0 = F(2, 3)
         r0 = F(-1, 2)
         assert p.subst_r(a, b).eval_at(q0, r0) == p.eval_at(q0, a * r0 + b)
+
+    @given(bipolys, points, points)
+    @example(Q * Q * Q * R - Q * Q + R, F(0), F(-4, 3))
+    def test_subst_q_matches_evaluation(self, p, a, b):
+        q0 = F(2, 3)
+        r0 = F(-1, 2)
+        assert p.subst_q(a, b).eval_at(q0, r0) == p.eval_at(a * q0 + b, r0)
 
 
 class TestEvaluation:

@@ -1,0 +1,100 @@
+"""Check counts and failure reports of the verification suites."""
+
+import re
+from fractions import Fraction as F
+
+import pytest
+
+import qwhitney.cauchy as cauchy_mod
+import qwhitney.triangles as triangles_mod
+from qwhitney import ONE, Triangle, TriangleKind, run_suite
+from qwhitney.cli import main
+
+# Check counts per suite, keyed by (n_max, number of shift values).  They
+# depend only on the sizes, not on the shift values themselves.
+CHECKS = {
+    (12, 4): {
+        "first-kind-oracle": 52, "second-kind-oracle": 52, "egf": 208, "inversion": 13,
+        "orthogonality": 286, "shift": 52, "cheon": 143, "reductions": 958, "classical": 39,
+    },
+    (3, 2): {
+        "first-kind-oracle": 16, "second-kind-oracle": 16, "egf": 28, "inversion": 4,
+        "orthogonality": 34, "shift": 8, "cheon": 18, "reductions": 112, "classical": 12,
+    },
+}
+
+SHIFTS = {4: (F(3), F(-5, 29), F(2, 7), F(-9, 17)), 2: (F(1), F(-1, 2))}
+
+README_VERIFY_ALL_10 = """\
+suite first-kind-oracle: ok (44 checks)
+suite second-kind-oracle: ok (44 checks)
+suite egf: ok (154 checks)
+suite inversion: ok (11 checks)
+suite orthogonality: ok (209 checks)
+suite shift: ok (55 checks)
+suite cheon: ok (121 checks)
+suite reductions: ok (700 checks)
+suite classical: ok (33 checks)
+"""
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("n_max, count", sorted(CHECKS))
+def test_check_counts_per_suite(n_max, count):
+    results = run_suite("all", n_max, SHIFTS[count])
+    assert {r.name: r.checks for r in results} == CHECKS[(n_max, count)]
+    assert [r.name for r in results] == list(CHECKS[(n_max, count)])
+    assert all(r.passed for r in results)
+
+
+def test_verify_all_prints_the_readme_lines(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", "10")
+    assert code == 0
+    assert err == ""
+    assert out == README_VERIFY_ALL_10
+
+
+def test_wrong_integral_fails_the_first_kind_oracle(capsys, monkeypatch):
+    real = cauchy_mod.cauchy_first_integral
+    monkeypatch.setattr(cauchy_mod, "cauchy_first_integral", lambda n: real(n) + ONE)
+    code, out, err = run_cli(capsys, "verify", "--suite", "first-kind-oracle", "--n-max", "2")
+    assert code == 1
+    assert out == "suite first-kind-oracle: FAIL (3 of 12 checks)\n"
+    assert "counterexample: first kind vs integral, n=0: got 1, want 2\n" in err
+    for n in range(3):
+        assert re.search(rf"^counterexample: first kind vs integral, n={n}: got .+, want .+$", err, re.M)
+
+
+@pytest.fixture
+def corrupted_first_kind(monkeypatch):
+    """First-kind triangles with entry (2, 1) off by one."""
+    real = triangles_mod.whitney_first
+
+    def corrupted(n_max):
+        tri = real(n_max)
+        rows = [list(tri.row(n)) for n in range(n_max + 1)]
+        if n_max >= 2:
+            rows[2][1] = rows[2][1] + ONE
+        return Triangle(TriangleKind.WHITNEY_FIRST, n_max, tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(triangles_mod, "whitney_first", corrupted)
+
+
+@pytest.mark.parametrize(
+    "suite, first_failure",
+    [
+        ("shift", "shift law fails at n=3, s=0: lhs="),
+        ("cheon", "triangle shift law fails at n=3, k=1, s=0: lhs="),
+        ("inversion", "first-kind inversion fails at n=2: got 5/6\n"),
+    ],
+)
+def test_corrupted_triangle_fails_the_identity_checks(capsys, corrupted_first_kind, suite, first_failure):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", "4")
+    assert code == 1
+    assert out.startswith(f"suite {suite}: FAIL (")
+    assert err.startswith(f"counterexample: {first_failure}")
