@@ -18,7 +18,8 @@ of the first-kind triangle and never builds the polynomial.  Each
 construction has an independent oracle: the ``*_integral`` functions build
 the defining product factor by factor and integrate it termwise, and
 ``cauchy_first_via_stirling`` uses the closed double sum over Stirling
-numbers.  Agreement of the code paths is what the oracle suites check.
+numbers, which is the shift law below taken from r = 0.  Agreement of
+the code paths is what the oracle suites check.
 
 Setting q = 1 and r = 0 gives the classical Cauchy numbers of both kinds
 (1, 1/2, -1/6, 1/4, ... and 1, -1/2, 5/6, -9/4, ...); keeping q symbolic
@@ -42,7 +43,9 @@ and the q = 1 specialization of the shift law where the right side is a
 binomial convolution of classical Cauchy numbers.  Each returns None on
 success and a description of the first failing case otherwise.  Each
 check builds one first-kind triangle and reads every row sum it needs
-from it, and the three shift laws share one helper for their right side.
+from it, and the three shift laws, like the Stirling closed form, take
+their right side from ``triangles.shift_sum`` over one rising-factorial
+list per sum.
 """
 
 from __future__ import annotations
@@ -53,9 +56,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import triangles
-from .arith import binomial
 from .poly import ONE, Q, R, ZERO, BiPoly, XPoly
-from .triangles import TriangleKind, rising_factorial, stirling_first_row
+from .triangles import TriangleKind, rising_factorials, shift_sum, stirling_first_row
 
 
 class CauchyKind(enum.Enum):
@@ -115,24 +117,16 @@ def cauchy_first_via_stirling(n: int) -> BiPoly:
     """c_n(r) from the closed double sum over Stirling numbers.
 
     c_n(r) = sum_{i=0..n} sum_{k=0..i} C(n, i) (-1)^(n-i) q^(i-k)
-             [r|q]_(n-i) s(i, k) / (k + 1).
+             [r|q]_(n-i) s(i, k) / (k + 1),
+
+    the shift law from r = 0, where the inner sum is c_i(0), the
+    one-parameter number ``q_cauchy_number(FIRST, i)``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = ZERO
-    for i in range(n + 1):
-        rise = rising_factorial(n - i)
-        srow = stirling_first_row(i)
-        sign = -1 if (n - i) % 2 == 1 else 1
-        c_ni = binomial(n, i) * sign
-        inner = ZERO
-        for k in range(i + 1):
-            s_ik = srow[k]
-            if s_ik:
-                inner = inner + BiPoly({(i - k, 0): Fraction(c_ni * s_ik, k + 1)})
-        if not inner.is_zero():
-            total = total + inner * rise
-    return total
+    return shift_sum(
+        n, rising_factorials(n), ((i, q_cauchy_number(CauchyKind.FIRST, i)) for i in range(n + 1))
+    )
 
 
 def cauchy_value(kind: CauchyKind, n: int, q0: Fraction | int, r0: Fraction | int) -> Fraction:
@@ -186,15 +180,6 @@ def q_cauchy_number(kind: CauchyKind, n: int) -> BiPoly:
 # -- identity verifiers --------------------------------------------------------
 
 
-def _shift_sum(n: int, rise: list[BiPoly], terms) -> BiPoly:
-    """sum_j (-1)^(n-j) C(n, j) rise[n-j] v_j over the pairs (j, v_j) in terms.
-
-    The right side of each shift law.  v_j is a polynomial or a number; a
-    caller leaves out the pairs whose v_j is known to be zero.
-    """
-    return sum((rise[n - j] * (v * (binomial(n, j) * (-1) ** (n - j))) for j, v in terms), ZERO)
-
-
 def shift_counterexample(n: int, s: Fraction | int) -> str | None:
     """Check c_n(r + s) = sum_j (-1)^(n-j) C(n, j) [r|q]_(n-j) c_j(s).
 
@@ -207,8 +192,7 @@ def shift_counterexample(n: int, s: Fraction | int) -> str | None:
     tri = triangles.whitney_first(n)
     c = [_row_sum(tri.row(j), alternating=False) for j in range(n + 1)]
     lhs = c[n].subst_r(1, s)
-    rise = [rising_factorial(m) for m in range(n + 1)]
-    rhs = _shift_sum(n, rise, enumerate(c_j.subst_r(0, s) for c_j in c))
+    rhs = shift_sum(n, rising_factorials(n), enumerate(c_j.subst_r(0, s) for c_j in c))
     if lhs == rhs:
         return None
     return f"shift law fails at n={n}, s={s}: lhs={lhs}, rhs={rhs}"
@@ -240,10 +224,10 @@ def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
     s = Fraction(s)
     tri = triangles.whitney_first(n)
     at_s = [[w.subst_r(0, s) for w in tri.row(j)] for j in range(n + 1)]
-    rise = [rising_factorial(m) for m in range(n + 1)]
+    rise = rising_factorials(n)
     for k, w_nk in enumerate(tri.row(n)):
         lhs = w_nk.subst_r(1, s)
-        rhs = _shift_sum(n, rise, ((j, at_s[j][k]) for j in range(k, n + 1)))
+        rhs = shift_sum(n, rise, ((j, at_s[j][k]) for j in range(k, n + 1)))
         if lhs != rhs:
             return f"triangle shift law fails at n={n}, k={k}, s={s}: lhs={lhs}, rhs={rhs}"
     return None
@@ -256,8 +240,8 @@ def classical_shift_counterexample(n: int) -> str | None:
     sum_i C(n, i) (-1)^(n-i) [r|1]_(n-i) c_i with c_i the classical numbers.
     """
     lhs = cauchy_first(n).subst_q(0, 1)
-    rise = [rising_factorial(m, step=ONE) for m in range(n + 1)]
-    rhs = _shift_sum(n, rise, ((i, cauchy_number(CauchyKind.FIRST, i)) for i in range(n + 1)))
+    rise = rising_factorials(n, step=ONE)
+    rhs = shift_sum(n, rise, ((i, cauchy_number(CauchyKind.FIRST, i)) for i in range(n + 1)))
     if lhs == rhs:
         return None
     return f"classical shift law fails at n={n}: lhs={lhs}, rhs={rhs}"

@@ -32,13 +32,6 @@ from .triangles import TriangleKind, triangle, value_rows
 
 FORMATS = ("text", "json", "csv", "latex")
 
-_TRIANGLE_KINDS = {
-    "w": TriangleKind.WHITNEY_FIRST,
-    "W": TriangleKind.WHITNEY_SECOND,
-    "s": TriangleKind.STIRLING_FIRST,
-    "sr": TriangleKind.R_STIRLING_FIRST,
-}
-
 _MAX_REPORTED_FAILURES = 20
 
 # 128 + the signal number, as a shell reports a process ended by SIGPIPE or
@@ -148,7 +141,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         else:
             rows = ([f"{a}/{b}" if b != 1 else f"{a}" for a, b in row] for row in values)
     else:
-        tri = triangle(_TRIANGLE_KINDS[kind], n_max, r0 if kind == "sr" else None)
+        tri = triangle(TriangleKind(kind), n_max, r0 if kind == "sr" else None)
         if fmt == "json":
             rows = ([p.to_records() for p in tri.row(n)] for n in range(n_max + 1))
         else:
@@ -259,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tri = sub.add_parser("triangle", help="generate a triangle of connection coefficients")
-    p_tri.add_argument("--kind", required=True, choices=tuple(_TRIANGLE_KINDS))
+    p_tri.add_argument("--kind", required=True, choices=tuple(k.value for k in TriangleKind))
     p_tri.add_argument("--n-max", required=True, type=_parse_nonneg)
     p_tri.add_argument("--r0", type=_parse_nonneg, default=None, help="shift for --kind sr (default 0)")
     p_tri.add_argument("--eval", type=_parse_eval, default=None, metavar="q=RAT,r=RAT")

@@ -4,7 +4,8 @@ A ``BiPoly`` stores its terms as a dict mapping exponent pairs ``(dq, dr)``
 to nonzero ``Fraction`` coefficients.  The representation is canonical (no
 zero coefficients are ever stored, the zero polynomial is the empty map),
 so structural equality coincides with mathematical equality; every golden
-test in the suite relies on that.
+test in the suite relies on that.  ``_nonzero`` enforces it, for given
+terms and for every computed result alike.
 
 ``XPoly`` is a univariate polynomial in an extra variable x whose
 coefficients are ``BiPoly`` values.  It exists to carry the defining
@@ -53,10 +54,8 @@ class BiPoly:
             for (dq, dr), coeff in terms.items():
                 if dq < 0 or dr < 0:
                     raise ValueError(f"negative exponent in key ({dq}, {dr})")
-                c = _as_fraction(coeff)
-                if c:
-                    normalized[(dq, dr)] = c
-        self._terms = normalized
+                normalized[(dq, dr)] = _as_fraction(coeff)
+        self._terms = _nonzero(normalized)._terms
 
     @classmethod
     def const(cls, value: Fraction | int) -> BiPoly:
@@ -85,9 +84,6 @@ class BiPoly:
         """Highest power of r, or -1 for the zero polynomial."""
         return max((dr for _, dr in self._terms), default=-1)
 
-    def q_degree(self) -> int:
-        return max((dq for dq, _ in self._terms), default=-1)
-
     def r_coefficient(self, dr: int) -> BiPoly:
         """The coefficient of r^dr, as a polynomial in q."""
         return BiPoly({(dq, 0): c for (dq, d), c in self._terms.items() if d == dr})
@@ -103,21 +99,13 @@ class BiPoly:
             other = BiPoly.const(_as_fraction(other))
         out = dict(self._terms)
         for key, c in other._terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        result = BiPoly.__new__(BiPoly)
-        result._terms = out
-        return result
+            out[key] = out.get(key, 0) + c
+        return _nonzero(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> BiPoly:
-        result = BiPoly.__new__(BiPoly)
-        result._terms = {key: -c for key, c in self._terms.items()}
-        return result
+        return _nonzero({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: BiPoly | Fraction | int) -> BiPoly:
         if not isinstance(other, BiPoly):
@@ -134,23 +122,15 @@ class BiPoly:
         for (aq, ar), ca in self._terms.items():
             for (bq, br), cb in other._terms.items():
                 key = (aq + bq, ar + br)
-                s = out.get(key, Fraction(0)) + ca * cb
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        result = BiPoly.__new__(BiPoly)
-        result._terms = out
-        return result
+                out[key] = out.get(key, 0) + ca * cb
+        return _nonzero(out)
 
     def __rmul__(self, other: Fraction | int) -> BiPoly:
         return self.scale(_as_fraction(other))
 
     def scale(self, c: Fraction | int) -> BiPoly:
         c = _as_fraction(c)
-        result = BiPoly.__new__(BiPoly)
-        result._terms = {} if not c else {key: v * c for key, v in self._terms.items()}
-        return result
+        return _nonzero({key: v * c for key, v in self._terms.items()})
 
     def __pow__(self, n: int) -> BiPoly:
         if not isinstance(n, int) or n < 0:
@@ -188,18 +168,9 @@ class BiPoly:
             # (a*var + b)^d expanded by the binomial theorem; for a = 0 only
             # the i = 0 term survives
             for i in range(d + 1 if a else 1):
-                w = c * binomial(d, i) * a**i * b ** (d - i)
-                if not w:
-                    continue
                 key_i = (key[0], i) if var else (i, key[1])
-                s = out.get(key_i, Fraction(0)) + w
-                if s:
-                    out[key_i] = s
-                elif key_i in out:
-                    del out[key_i]
-        result = BiPoly.__new__(BiPoly)
-        result._terms = out
-        return result
+                out[key_i] = out.get(key_i, 0) + c * binomial(d, i) * a**i * b ** (d - i)
+        return _nonzero(out)
 
     def eval_at(self, q0: Fraction | int, r0: Fraction | int) -> Fraction:
         """Exact value at the rational point (q0, r0)."""
@@ -240,6 +211,13 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()!r})"
+
+
+def _nonzero(terms: dict[Key, Fraction]) -> BiPoly:
+    """The polynomial of a term map, keeping only its nonzero terms."""
+    result = BiPoly.__new__(BiPoly)
+    result._terms = {key: c for key, c in terms.items() if c}
+    return result
 
 
 ZERO = BiPoly()

@@ -152,6 +152,8 @@ def whitney_column_egf(k: int, order: int) -> Series:
     """EGF of column k of the first-kind triangle: (1+q*t)^(-r/q) * L^k / k!."""
     if k < 0:
         raise ValueError("column index must be nonnegative")
+    if k > order:
+        return Series.zero(order)  # L has no constant term, so L^k starts at t^k
     L = log1p_qt_over_q(order)
     power = Series.one(order)
     for _ in range(k):

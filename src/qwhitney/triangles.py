@@ -26,7 +26,9 @@ first-kind entry from the closed double-sum form
     w(n, k) = sum_{i} C(n, i) * (-1)^(n-i) * q^(i-k) * [r|q]_(n-i) * s(i, k)
 
 with [r|q]_m the rising factorial r * (r + q) * ... * (r + (m-1)q) and
-s(i, k) the signed Stirling numbers.
+s(i, k) the signed Stirling numbers.  Since q^(i-k) s(i, k) is w(i, k) at
+r = 0, this is the shift law taken from r = 0: ``shift_sum`` forms it from
+one list of rising factorials, made by ``rising_factorials``.
 """
 
 from __future__ import annotations
@@ -255,6 +257,24 @@ def rising_factorial(m: int, y: BiPoly = R, step: BiPoly = Q) -> BiPoly:
     return acc
 
 
+def rising_factorials(n: int, step: BiPoly = Q) -> list[BiPoly]:
+    """[r|step]_0..n, each the one before times its next factor."""
+    rise = [ONE]
+    for j in range(n):
+        rise.append(rise[-1] * (R + step.scale(j)))
+    return rise
+
+
+def shift_sum(n: int, rise: list[BiPoly], terms) -> BiPoly:
+    """sum_j (-1)^(n-j) C(n, j) rise[n-j] v_j over the pairs (j, v_j) in terms.
+
+    The right side of each shift law, with rise[m] = [r|step]_m.  v_j is a
+    polynomial or a number; a caller leaves out the pairs whose v_j is
+    known to be zero.
+    """
+    return sum((rise[n - j] * (v * (binomial(n, j) * (-1) ** (n - j))) for j, v in terms), ZERO)
+
+
 def falling_factorial(m: int, y: BiPoly = R, step: BiPoly = Q) -> BiPoly:
     """(y|step)_m = y * (y - step) * ... * (y - (m-1)*step); defaults to (r|q)_m."""
     return rising_factorial(m, y, -step)
@@ -290,23 +310,15 @@ def whitney_first_cheon(n: int, k: int) -> BiPoly:
     """First-kind entry (n, k) from the closed Stirling-sum form.
 
     w(n, k) = sum_{i=k..n} C(n, i) * (-1)^(n - i) * q^(i - k)
-              * [r|q]_(n - i) * s(i, k).
+              * [r|q]_(n - i) * s(i, k),
 
-    Independent of the recurrence: uses only binomials, rising factorials,
-    and the integer Stirling rows.
+    the shift law from r = 0.  Independent of the recurrence: uses only
+    binomials, rising factorials, and the integer Stirling rows.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    if k > n:
-        return ZERO
-    total = ZERO
-    for i in range(k, n + 1):
-        s_ik = stirling_first_row(i)[k]
-        if not s_ik:
-            continue
-        c = binomial(n, i) * s_ik
-        if (n - i) % 2 == 1:
-            c = -c
-        term = BiPoly({(i - k, 0): c}) * rising_factorial(n - i)
-        total = total + term
-    return total
+    return shift_sum(
+        n,
+        rising_factorials(n),
+        ((i, BiPoly({(i - k, 0): stirling_first_row(i)[k]})) for i in range(k, n + 1)),
+    )

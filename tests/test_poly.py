@@ -18,6 +18,11 @@ bipolys = st.dictionaries(exponents, coefficients, max_size=6).map(BiPoly)
 points = st.fractions(min_value=F(-8), max_value=F(8), max_denominator=6)
 
 
+def assert_nonzero_fractions(p):
+    for _, c in p.sorted_terms():
+        assert isinstance(c, F) and c != 0
+
+
 class TestCanonicalForm:
     def test_zero_coefficients_are_dropped(self):
         p = BiPoly({(0, 1): F(1), (1, 0): F(0)})
@@ -35,6 +40,18 @@ class TestCanonicalForm:
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             BiPoly({(-1, 0): F(1)})
+
+    @given(bipolys, bipolys, points, points, points)
+    @example(R + Q, -(R + Q), F(0), F(0), F(1))  # a + b cancels; zero scale and multiplier
+    @example(R + Q, R - Q, F(2), F(-1, 2), F(0))  # a * b cancels q*r
+    @example(R - ONE, Q - R, F(-3), F(1), F(1))  # a + b and a.subst_r(1, 1) cancel
+    def test_only_nonzero_fractions_are_stored(self, a, b, c, s, t):
+        results = (
+            a + b, a - b, a * b, a - a, a + (-a), a.scale(c), a.scale(0), a * 0,
+            a.subst_q(s, t), a.subst_r(s, t), a.subst_q(0, t), a.subst_r(0, t),
+        )
+        for p in results:
+            assert_nonzero_fractions(p)
 
 
 class TestRingOps:

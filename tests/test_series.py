@@ -126,6 +126,10 @@ class TestGeneratingFunctions:
         with pytest.raises(ValueError):
             whitney_column_egf(-1, 2)
 
+    def test_column_egf_beyond_the_order_is_zero(self):
+        for k in (4, 5, 10**9):
+            assert whitney_column_egf(k, 3) == Series.zero(3)
+
     def test_first_kind_egf_matches_frozen_polynomials(self):
         s = cauchy_first_egf(4)
         for n, terms in FIRST_KIND.items():

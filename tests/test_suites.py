@@ -98,3 +98,19 @@ def test_corrupted_triangle_fails_the_identity_checks(capsys, corrupted_first_ki
     assert code == 1
     assert out.startswith(f"suite {suite}: FAIL (")
     assert err.startswith(f"counterexample: {first_failure}")
+
+
+def test_corrupted_stirling_rows_fail_the_stirling_routes(monkeypatch):
+    real = triangles_mod.stirling_first_row
+
+    def corrupted(n):  # entry (3, 1) off by one
+        row = real(n)
+        return row[:1] + (row[1] + 1,) + row[2:] if n == 3 else row
+
+    monkeypatch.setattr(triangles_mod, "stirling_first_row", corrupted)
+    monkeypatch.setattr(cauchy_mod, "stirling_first_row", corrupted)
+    results = {r.name: r for r in run_suite("all", 4)}
+    failing = {name: (len(r.failures), r.checks) for name, r in results.items() if not r.passed}
+    assert failing == {"first-kind-oracle": (2, 20), "cheon": (2, 40), "reductions": (6, 166)}
+    assert results["first-kind-oracle"].failures[0].startswith("first kind vs Stirling sum, n=3: ")
+    assert results["cheon"].failures[0].startswith("closed form vs recurrence, n=3, k=1: ")

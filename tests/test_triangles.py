@@ -27,7 +27,7 @@ from qwhitney import (
     whitney_second,
     whitney_second_values,
 )
-from qwhitney.triangles import scaled_rows, value_rows
+from qwhitney.triangles import rising_factorials, scaled_rows, value_rows
 
 from _points import eval_points, rationals
 
@@ -193,6 +193,14 @@ class TestFactorialProducts:
     def test_falling_is_rising_with_negated_step(self):
         for m in range(5):
             assert falling_factorial(m) == rising_factorial(m, step=-Q)
+
+    def test_rising_list_matches_each_product(self):
+        for step in (Q, ONE):
+            for n in range(9):
+                rise = rising_factorials(n, step=step)
+                assert len(rise) == n + 1
+                for m in range(n + 1):
+                    assert rise[m] == rising_factorial(m, step=step)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
