@@ -5,7 +5,7 @@ to nonzero ``Fraction`` coefficients.  The representation is canonical (no
 zero coefficients are ever stored, the zero polynomial is the empty map),
 so structural equality coincides with mathematical equality; every golden
 test in the suite relies on that.  ``_nonzero`` enforces it, for given
-terms and for every computed result alike.
+terms in the constructor and for every computed result in ``_of``.
 
 ``XPoly`` is a univariate polynomial in an extra variable x whose
 coefficients are ``BiPoly`` values.  It exists to carry the defining
@@ -55,11 +55,18 @@ class BiPoly:
                 if dq < 0 or dr < 0:
                     raise ValueError(f"negative exponent in key ({dq}, {dr})")
                 normalized[(dq, dr)] = _as_fraction(coeff)
-        self._terms = _nonzero(normalized)._terms
+        self._terms = _nonzero(normalized)
 
     @classmethod
     def const(cls, value: Fraction | int) -> BiPoly:
         return cls({(0, 0): _as_fraction(value)})
+
+    @classmethod
+    def _of(cls, terms: dict[Key, Fraction]) -> BiPoly:
+        """A computed result: the polynomial of a fresh term map, without validation."""
+        result = cls.__new__(cls)
+        result._terms = _nonzero(terms)
+        return result
 
     # -- structure ---------------------------------------------------------
 
@@ -100,12 +107,12 @@ class BiPoly:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + c
-        return _nonzero(out)
+        return BiPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> BiPoly:
-        return _nonzero({key: -c for key, c in self._terms.items()})
+        return BiPoly._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: BiPoly | Fraction | int) -> BiPoly:
         if not isinstance(other, BiPoly):
@@ -123,14 +130,14 @@ class BiPoly:
             for (bq, br), cb in other._terms.items():
                 key = (aq + bq, ar + br)
                 out[key] = out.get(key, 0) + ca * cb
-        return _nonzero(out)
+        return BiPoly._of(out)
 
     def __rmul__(self, other: Fraction | int) -> BiPoly:
         return self.scale(_as_fraction(other))
 
     def scale(self, c: Fraction | int) -> BiPoly:
         c = _as_fraction(c)
-        return _nonzero({key: v * c for key, v in self._terms.items()})
+        return BiPoly._of({key: v * c for key, v in self._terms.items()})
 
     def __pow__(self, n: int) -> BiPoly:
         if not isinstance(n, int) or n < 0:
@@ -170,7 +177,7 @@ class BiPoly:
             for i in range(d + 1 if a else 1):
                 key_i = (key[0], i) if var else (i, key[1])
                 out[key_i] = out.get(key_i, 0) + c * binomial(d, i) * a**i * b ** (d - i)
-        return _nonzero(out)
+        return BiPoly._of(out)
 
     def eval_at(self, q0: Fraction | int, r0: Fraction | int) -> Fraction:
         """Exact value at the rational point (q0, r0)."""
@@ -213,11 +220,11 @@ class BiPoly:
         return f"BiPoly({self.to_text()!r})"
 
 
-def _nonzero(terms: dict[Key, Fraction]) -> BiPoly:
-    """The polynomial of a term map, keeping only its nonzero terms."""
-    result = BiPoly.__new__(BiPoly)
-    result._terms = {key: c for key, c in terms.items() if c}
-    return result
+def _nonzero(terms: dict[Key, Fraction]) -> dict[Key, Fraction]:
+    """Delete the zero terms of a term map in place, and return the map."""
+    for key in [key for key, c in terms.items() if not c]:
+        del terms[key]
+    return terms
 
 
 ZERO = BiPoly()

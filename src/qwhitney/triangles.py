@@ -251,17 +251,14 @@ def rising_factorial(m: int, y: BiPoly = R, step: BiPoly = Q) -> BiPoly:
     """[y|step]_m = y * (y + step) * ... * (y + (m-1)*step); defaults to [r|q]_m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    acc = ONE
-    for j in range(m):
-        acc = acc * (y + step.scale(j))
-    return acc
+    return rising_factorials(m, y, step)[m]
 
 
-def rising_factorials(n: int, step: BiPoly = Q) -> list[BiPoly]:
-    """[r|step]_0..n, each the one before times its next factor."""
+def rising_factorials(n: int, y: BiPoly = R, step: BiPoly = Q) -> list[BiPoly]:
+    """[y|step]_0..n, each the one before times its next factor."""
     rise = [ONE]
     for j in range(n):
-        rise.append(rise[-1] * (R + step.scale(j)))
+        rise.append(rise[-1] * (y + step.scale(j)))
     return rise
 
 
@@ -319,6 +316,6 @@ def whitney_first_cheon(n: int, k: int) -> BiPoly:
         raise ValueError("indices must be nonnegative")
     return shift_sum(
         n,
-        rising_factorials(n),
+        rising_factorials(n - k),
         ((i, BiPoly({(i - k, 0): stirling_first_row(i)[k]})) for i in range(k, n + 1)),
     )

@@ -186,15 +186,10 @@ class TestFormats:
         assert code == 0
         assert out == "n,value\n0,1\n1,r - 1/2\n"
 
-    def test_egf_column_beyond_the_order(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "qwhitney", "egf", "--which", "w:1000000000", "--order", "2"],
-            capture_output=True,
-            check=False,
-            timeout=60,
-        )
-        assert result.returncode == 0
-        assert result.stdout == b"t^0: 0\nt^1: 0\nt^2: 0\n"
+    def test_egf_column_beyond_the_order(self, capsys):
+        code, out, _ = run_cli(capsys, "egf", "--which", "w:1000000000", "--order", "2")
+        assert code == 0
+        assert out == "t^0: 0\nt^1: 0\nt^2: 0\n"
 
 
 class TestVerify:

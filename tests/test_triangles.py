@@ -195,12 +195,14 @@ class TestFactorialProducts:
             assert falling_factorial(m) == rising_factorial(m, step=-Q)
 
     def test_rising_list_matches_each_product(self):
-        for step in (Q, ONE):
+        q0, r0 = F(3, 7), F(-5, 2)
+        for step, s0 in ((Q, q0), (ONE, 1)):
             for n in range(9):
                 rise = rising_factorials(n, step=step)
                 assert len(rise) == n + 1
-                for m in range(n + 1):
-                    assert rise[m] == rising_factorial(m, step=step)
+                for m, value in enumerate(rise):
+                    assert value.eval_at(q0, r0) == prod(r0 + j * s0 for j in range(m))
+                    assert value == rising_factorial(m, step=step)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
