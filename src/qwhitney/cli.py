@@ -8,11 +8,12 @@ Four subcommands:
     verify    --suite NAME --n-max INT [--shift-values RAT,RAT,...]
 
 Formats are text (default), json, csv, and latex.  Rationals on the
-command line are written "a" or "a/b".  All output is exact; no floating
-point appears anywhere.  Results go to standard output and counterexample
-diagnostics to the error stream.  Exit codes: 0 on success, 1 when a
-verification suite finds a failing identity, 2 on usage errors, 130 on an
-interrupt, and 141 when the reader of standard output closes it early.
+command line are written "a" or "a/b", and integers as plain digits.  All
+output is exact; no floating point appears anywhere.  Results go to
+standard output and counterexample diagnostics to the error stream.  Exit
+codes: 0 on success, 1 when a verification suite finds a failing identity,
+2 on usage errors, 130 on an interrupt, and 141 when the reader of
+standard output closes it early.
 """
 
 from __future__ import annotations
@@ -79,14 +80,18 @@ def _parse_shifts(text: str) -> tuple[Fraction, ...]:
     return tuple(_parse_rational(item) for item in items)
 
 
+# Digits only, as for the rationals: int() alone would also read "1_0", a
+# sign, and non-ASCII digits such as the Arabic-Indic "٢".
+_NONNEG = re.compile(r"\s*[0-9]+\s*")
+
+
 def _parse_nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be nonnegative")
-    return value
+    if _NONNEG.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass  # more digits than int() converts
+    raise argparse.ArgumentTypeError(f"invalid nonnegative integer {text!r}")
 
 
 def _parse_which(text: str) -> tuple[str, int]:
@@ -95,13 +100,7 @@ def _parse_which(text: str) -> tuple[str, int]:
     if text == "chat":
         return ("chat", 0)
     if text.startswith("w:"):
-        try:
-            k = int(text[2:])
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"invalid column in {text!r}") from exc
-        if k < 0:
-            raise argparse.ArgumentTypeError("column must be nonnegative")
-        return ("w", k)
+        return ("w", _parse_nonneg(text[2:]))
     raise argparse.ArgumentTypeError(f"expected c, chat, or w:K, got {text!r}")
 
 

@@ -1,11 +1,21 @@
 """Sparse bivariate polynomials in q and r over exact rationals.
 
-A ``BiPoly`` stores its terms as a dict mapping exponent pairs ``(dq, dr)``
-to nonzero ``Fraction`` coefficients.  The representation is canonical (no
-zero coefficients are ever stored, the zero polynomial is the empty map),
-so structural equality coincides with mathematical equality; every golden
-test in the suite relies on that.  ``_nonzero`` enforces it, for given
-terms in the constructor and for every computed result in ``_of``.
+A ``BiPoly`` stores integers over one common denominator: a dict mapping
+exponent pairs ``(dq, dr)`` to nonzero ``int`` numerators, plus one
+``den > 0``.  Every polynomial this package builds is of that shape (the
+r-Whitney numbers have integer coefficients, and the Cauchy weights 1/(k+1)
+only add a denominator), so the ring operations run on Python ints and
+normalize once per result instead of once per coefficient.  ``Fraction``
+appears only at the boundary: the constructor takes ``Fraction``/``int``
+maps, and ``coeff``, ``const_value``, ``sorted_terms``, ``eval_at`` and
+``to_records`` hand back reduced rationals.
+
+The representation is canonical: no zero numerator is ever stored, the zero
+polynomial is the empty map over ``den = 1``, and ``den`` shares no factor
+with all of the numerators.  So structural equality coincides with
+mathematical equality; every golden test in the suite relies on that.
+``_nonzero`` enforces it, for given terms in the constructor and for every
+computed result in ``_of``.
 
 ``XPoly`` is a univariate polynomial in an extra variable x whose
 coefficients are ``BiPoly`` values.  It exists to carry the defining
@@ -24,6 +34,7 @@ is how these polynomials are conventionally written ("r^2 + (q - 1)*r -
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 from .arith import binomial
@@ -31,41 +42,44 @@ from .arith import binomial
 Key = tuple[int, int]  # (dq, dr)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator of an int or Fraction, in lowest terms."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 class BiPoly:
-    """Polynomial in the indeterminates q and r over Fraction.
+    """Polynomial in the indeterminates q and r over the rationals.
 
-    Instances are immutable by convention: every operation returns a new
-    polynomial, so values are safe to share between threads.
+    The terms are ``int`` numerators over one denominator ``den``; see the
+    module docstring for the canonical form.  Instances are immutable by
+    convention: every operation returns a new polynomial, so values are
+    safe to share between threads.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Key, Fraction | int] | None = None):
-        normalized: dict[Key, Fraction] = {}
+        ratios: dict[Key, tuple[int, int]] = {}
         if terms:
             for (dq, dr), coeff in terms.items():
                 if dq < 0 or dr < 0:
                     raise ValueError(f"negative exponent in key ({dq}, {dr})")
-                normalized[(dq, dr)] = _as_fraction(coeff)
-        self._terms = _nonzero(normalized)
+                ratios[(dq, dr)] = _ratio(coeff)
+        den = lcm(*(d for _, d in ratios.values()))
+        self._terms, self._den = _nonzero({key: n * (den // d) for key, (n, d) in ratios.items()}, den)
 
     @classmethod
     def const(cls, value: Fraction | int) -> BiPoly:
-        return cls({(0, 0): _as_fraction(value)})
+        num, den = _ratio(value)
+        return cls._of({(0, 0): num}, den)
 
     @classmethod
-    def _of(cls, terms: dict[Key, Fraction]) -> BiPoly:
-        """A computed result: the polynomial of a fresh term map, without validation."""
+    def _of(cls, terms: dict[Key, int], den: int = 1) -> BiPoly:
+        """A computed result: terms/den for a fresh numerator map and den > 0, without validation."""
         result = cls.__new__(cls)
-        result._terms = _nonzero(terms)
+        result._terms, result._den = _nonzero(terms, den)
         return result
 
     # -- structure ---------------------------------------------------------
@@ -82,10 +96,10 @@ class BiPoly:
             return Fraction(0)
         if not self.is_const():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[(0, 0)]
+        return Fraction(self._terms[(0, 0)], self._den)
 
     def coeff(self, dq: int, dr: int) -> Fraction:
-        return self._terms.get((dq, dr), Fraction(0))
+        return Fraction(self._terms.get((dq, dr), 0), self._den)
 
     def r_degree(self) -> int:
         """Highest power of r, or -1 for the zero polynomial."""
@@ -93,51 +107,64 @@ class BiPoly:
 
     def r_coefficient(self, dr: int) -> BiPoly:
         """The coefficient of r^dr, as a polynomial in q."""
-        return BiPoly({(dq, 0): c for (dq, d), c in self._terms.items() if d == dr})
+        return BiPoly._of({(dq, 0): c for (dq, d), c in self._terms.items() if d == dr}, self._den)
 
     def sorted_terms(self) -> list[tuple[Key, Fraction]]:
         """Terms in canonical order (total degree, then dr, then dq, all descending)."""
-        return sorted(self._terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][1], -kv[0][0]))
+        den = self._den
+        return [(key, Fraction(c, den)) for key, c in sorted(self._terms.items(), key=_canonical_order)]
+
+    def _sorted_values(self) -> list[tuple[Key, int | Fraction]]:
+        """``sorted_terms``, with plain ints when den = 1: they render alike and build no Fraction."""
+        if self._den != 1:
+            return self.sorted_terms()
+        return sorted(self._terms.items(), key=_canonical_order)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: BiPoly | Fraction | int) -> BiPoly:
         if not isinstance(other, BiPoly):
-            other = BiPoly.const(_as_fraction(other))
-        out = dict(self._terms)
+            other = BiPoly.const(other)
+        if self._den == other._den:  # always so inside the triangle recurrences (den = 1)
+            den, out, lift = self._den, dict(self._terms), 1
+        else:
+            den = lcm(self._den, other._den)
+            mine = den // self._den
+            out = {key: c * mine for key, c in self._terms.items()}
+            lift = den // other._den
         for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return BiPoly._of(out)
+            out[key] = out.get(key, 0) + c * lift
+        return BiPoly._of(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> BiPoly:
-        return BiPoly._of({key: -c for key, c in self._terms.items()})
+        return BiPoly._of({key: -c for key, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: BiPoly | Fraction | int) -> BiPoly:
         if not isinstance(other, BiPoly):
-            other = BiPoly.const(_as_fraction(other))
+            other = BiPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other: Fraction | int) -> BiPoly:
-        return BiPoly.const(_as_fraction(other)) + (-self)
+        return BiPoly.const(other) + (-self)
 
     def __mul__(self, other: BiPoly | Fraction | int) -> BiPoly:
         if not isinstance(other, BiPoly):
-            return self.scale(_as_fraction(other))
-        out: dict[Key, Fraction] = {}
+            return self.scale(other)
+        out: dict[Key, int] = {}
         for (aq, ar), ca in self._terms.items():
             for (bq, br), cb in other._terms.items():
                 key = (aq + bq, ar + br)
                 out[key] = out.get(key, 0) + ca * cb
-        return BiPoly._of(out)
+        return BiPoly._of(out, self._den * other._den)
 
     def __rmul__(self, other: Fraction | int) -> BiPoly:
-        return self.scale(_as_fraction(other))
+        return self.scale(other)
 
     def scale(self, c: Fraction | int) -> BiPoly:
-        c = _as_fraction(c)
-        return BiPoly._of({key: v * c for key, v in self._terms.items()})
+        num, den = _ratio(c)
+        return BiPoly._of({key: v * num for key, v in self._terms.items()}, self._den * den)
 
     def __pow__(self, n: int) -> BiPoly:
         if not isinstance(n, int) or n < 0:
@@ -150,10 +177,10 @@ class BiPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._terms.items()), self._den))
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -167,26 +194,35 @@ class BiPoly:
 
     def _subst(self, var: int, a: Fraction | int, b: Fraction | int) -> BiPoly:
         """Replace the variable at key position var (0 for q, 1 for r) by a*var + b."""
-        a = _as_fraction(a)
-        b = _as_fraction(b)
-        out: dict[Key, Fraction] = {}
+        a_num, a_den = _ratio(a)
+        b_num, b_den = _ratio(b)
+        # a = A/E and b = B/E, so (a*var + b)^d = (A*var + B)^d / E^d; a term
+        # of degree d < top is lifted to the common denominator E^top
+        e = lcm(a_den, b_den)
+        big_a, big_b = a_num * (e // a_den), b_num * (e // b_den)
+        top = max((key[var] for key in self._terms), default=0)
+        out: dict[Key, int] = {}
         for key, c in self._terms.items():
             d = key[var]
-            # (a*var + b)^d expanded by the binomial theorem; for a = 0 only
+            c *= e ** (top - d)
+            # (A*var + B)^d expanded by the binomial theorem; for A = 0 only
             # the i = 0 term survives
-            for i in range(d + 1 if a else 1):
+            for i in range(d + 1 if big_a else 1):
                 key_i = (key[0], i) if var else (i, key[1])
-                out[key_i] = out.get(key_i, 0) + c * binomial(d, i) * a**i * b ** (d - i)
-        return BiPoly._of(out)
+                out[key_i] = out.get(key_i, 0) + c * binomial(d, i) * big_a**i * big_b ** (d - i)
+        return BiPoly._of(out, self._den * e**top)
 
     def eval_at(self, q0: Fraction | int, r0: Fraction | int) -> Fraction:
         """Exact value at the rational point (q0, r0)."""
-        q0 = _as_fraction(q0)
-        r0 = _as_fraction(r0)
-        total = Fraction(0)
-        for (dq, dr), c in self._terms.items():
-            total += c * q0**dq * r0**dr
-        return total
+        q_num, q_den = _ratio(q0)
+        r_num, r_den = _ratio(r0)
+        top_q = max((dq for dq, _ in self._terms), default=0)
+        top_r = max((dr for _, dr in self._terms), default=0)
+        total = sum(
+            c * q_num**dq * q_den ** (top_q - dq) * r_num**dr * r_den ** (top_r - dr)
+            for (dq, dr), c in self._terms.items()
+        )
+        return Fraction(total, self._den * q_den**top_q * r_den**top_r)
 
     # -- serialization -------------------------------------------------------
 
@@ -194,7 +230,7 @@ class BiPoly:
         """Canonically ordered list of {dq, dr, num, den} records."""
         return [
             {"dq": dq, "dr": dr, "num": c.numerator, "den": c.denominator}
-            for (dq, dr), c in self.sorted_terms()
+            for (dq, dr), c in self._sorted_values()
         ]
 
     @classmethod
@@ -204,6 +240,8 @@ class BiPoly:
             key = (rec["dq"], rec["dr"])
             if key in terms:
                 raise ValueError(f"duplicate exponent pair {key}")
+            if rec["den"] <= 0:
+                raise ValueError(f"denominator {rec['den']} at {key} is not positive")
             terms[key] = Fraction(rec["num"], rec["den"])
         return cls(terms)
 
@@ -220,11 +258,22 @@ class BiPoly:
         return f"BiPoly({self.to_text()!r})"
 
 
-def _nonzero(terms: dict[Key, Fraction]) -> dict[Key, Fraction]:
-    """Delete the zero terms of a term map in place, and return the map."""
+def _canonical_order(item: tuple[Key, int]) -> tuple[int, int, int]:
+    (dq, dr), _ = item
+    return (-(dq + dr), -dr, -dq)
+
+
+def _nonzero(terms: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
+    """The canonical form of terms/den (den > 0): zero terms deleted in place, common factor divided out."""
     for key in [key for key, c in terms.items() if not c]:
         del terms[key]
-    return terms
+    if not terms:
+        return terms, 1
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            return {key: c // g for key, c in terms.items()}, den // g
+    return terms, den
 
 
 ZERO = BiPoly()
@@ -241,7 +290,7 @@ R = BiPoly({(0, 1): 1})
 # e.g. "-r^3 - (3*q - 3/2)*r^2 - ...".
 
 
-def _frac_atom(c: Fraction, latex: bool, standalone: bool) -> str:
+def _frac_atom(c: Fraction | int, latex: bool, standalone: bool) -> str:
     """Positive rational as a rendering atom.
 
     ``standalone`` means the value is a term of its own; otherwise it
@@ -269,7 +318,7 @@ def _var_part(dq: int, dr: int, latex: bool) -> str:
     return ("" if latex else "*").join(parts)
 
 
-def _monomial(c: Fraction, dq: int, dr: int, latex: bool) -> str:
+def _monomial(c: Fraction | int, dq: int, dr: int, latex: bool) -> str:
     """Unsigned monomial body for a positive coefficient c."""
     variables = _var_part(dq, dr, latex)
     if not variables:
@@ -291,10 +340,10 @@ def _join_signed(chunks: list[tuple[int, str]]) -> str:
 
 
 def _render(p: BiPoly, latex: bool) -> str:
-    terms = p.sorted_terms()
+    terms = p._sorted_values()
     if not terms:
         return "0"
-    by_dr: dict[int, list[tuple[int, Fraction]]] = {}
+    by_dr: dict[int, list[tuple[int, Fraction | int]]] = {}
     for (dq, dr), c in terms:
         by_dr.setdefault(dr, []).append((dq, c))
     chunks: list[tuple[int, str]] = []

@@ -338,6 +338,29 @@ class TestUsageErrors:
         assert code == 0
         assert out == "1\n"
 
+    @pytest.mark.parametrize("literal", ["1_0", "\u0662", "+2", "-0", "2.0", "0x2", ""])
+    def test_integer_outside_the_documented_form(self, capsys, literal):
+        # int() alone would read the first four ("\u0662" is the Arabic-Indic two).
+        for argv in (
+            ("triangle", "--kind", "w", "--n-max", literal),
+            ("triangle", "--kind", "sr", "--n-max", "1", "--r0", literal),
+            ("cauchy", "--kind", "first", "--n", literal),
+            ("egf", "--which", "c", "--order", literal),
+            ("egf", "--which", f"w:{literal}", "--order", "1"),
+            ("verify", "--suite", "shift", "--n-max", literal),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert "invalid nonnegative integer" in err, argv
+
+    def test_integer_with_surrounding_spaces(self, capsys):
+        code, out, _ = run_cli(capsys, "egf", "--which", "w: 1 ", "--order", " 1 ")
+        assert code == 0
+        assert out == "t^0: 0\nt^1: 1\n"
+        code, out, _ = run_cli(capsys, "triangle", "--kind", "sr", "--n-max", " 1", "--r0", "2 ")
+        assert code == 0
+        assert out == "n=0 k=0: 1\nn=1 k=0: -2\nn=1 k=1: 1\n"
+
     def test_negative_index(self, capsys):
         code, _, _ = run_cli(capsys, "cauchy", "--kind", "first", "--n", "-3")
         assert code == 2

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import example, given
@@ -16,6 +17,19 @@ exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
 bipolys = st.dictionaries(exponents, coefficients, max_size=6).map(BiPoly)
 
 points = st.fractions(min_value=F(-8), max_value=F(8), max_denominator=6)
+
+
+# Term maps as plain {(dq, dr): Fraction} dicts: coefficients with their own
+# denominators, or integers over one shared denominator, so that sums can
+# cancel it.  Zero values are allowed; BiPoly drops them.
+term_maps = st.one_of(
+    st.dictionaries(exponents, coefficients, max_size=6),
+    st.builds(
+        lambda nums, den: {key: F(n, den) for key, n in nums.items()},
+        st.dictionaries(exponents, st.integers(-30, 30), max_size=6),
+        st.sampled_from([1, 2, 6, 12]),
+    ),
+)
 
 
 def assert_nonzero_fractions(p):
@@ -142,6 +156,113 @@ class TestEvaluation:
         assert (a + b).eval_at(q0, r0) == a.eval_at(q0, r0) + b.eval_at(q0, r0)
 
 
+# -- a test-only reference: each operation over plain {(dq, dr): Fraction} maps --
+
+
+def _ref_clean(terms):
+    return {key: c for key, c in terms.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (aq, ar), ca in a.items():
+        for (bq, br), cb in b.items():
+            key = (aq + bq, ar + br)
+            out[key] = out.get(key, 0) + ca * cb
+    return _ref_clean(out)
+
+
+def _ref_scale(a, c):
+    return _ref_clean({key: v * c for key, v in a.items()})
+
+
+def _ref_subst(a, var, s, t):
+    """The variable at key position var (0 for q, 1 for r) replaced by s*var + t."""
+    out = {}
+    for key, c in a.items():
+        d = key[var]
+        for i in range(d + 1):
+            key_i = (key[0], i) if var else (i, key[1])
+            out[key_i] = out.get(key_i, 0) + c * comb(d, i) * s**i * t ** (d - i)
+    return _ref_clean(out)
+
+
+def _ref_eval(a, q0, r0):
+    return sum((c * q0**dq * r0**dr for (dq, dr), c in a.items()), F(0))
+
+
+def _ref_records(a):
+    keys = sorted(a, key=lambda k: (-(k[0] + k[1]), -k[1], -k[0]))
+    return [{"dq": dq, "dr": dr, "num": a[dq, dr].numerator, "den": a[dq, dr].denominator} for dq, dr in keys]
+
+
+def assert_matches(p, want):
+    """p holds exactly the reference terms, and is stored as BiPoly(want) is."""
+    assert dict(p.sorted_terms()) == want
+    assert p.to_records() == _ref_records(want)
+    assert p == BiPoly(want)
+    assert hash(p) == hash(BiPoly(want))
+
+
+class TestAgainstFractionReference:
+    @given(term_maps, term_maps, points, points, points)
+    @example({(0, 1): F(1, 2)}, {(0, 1): F(1, 2)}, F(3), F(1, 2), F(1, 2))  # r/2 + r/2: den cancels
+    @example({(0, 1): F(1, 3)}, {(1, 0): F(1, 3), (0, 1): F(-1, 3)}, F(3), F(0), F(1, 3))  # shared den
+    @example({(2, 1): F(1, 2), (0, 3): F(-2, 3)}, {(0, 0): F(5, 7)}, F(0), F(-3, 4), F(2, 5))
+    def test_ring_operations_and_substitution(self, ta, tb, c, s, t):
+        a, b = _ref_clean(ta), _ref_clean(tb)
+        pa, pb = BiPoly(ta), BiPoly(tb)
+        minus_b = _ref_scale(b, F(-1))
+        cases = [
+            (pa + pb, _ref_add(a, b)),
+            (pa - pb, _ref_add(a, minus_b)),
+            (-pb, minus_b),
+            (pa * pb, _ref_mul(a, b)),
+            (pa.scale(c), _ref_scale(a, c)),
+            (pa.subst_q(s, t), _ref_subst(a, 0, s, t)),
+            (pa.subst_r(s, t), _ref_subst(a, 1, s, t)),
+            (pa.subst_q(0, t), _ref_subst(a, 0, F(0), t)),
+            (pa.subst_r(0, t), _ref_subst(a, 1, F(0), t)),
+        ]
+        for got, want in cases:
+            assert_matches(got, want)
+
+    @given(term_maps, points, points, exponents)
+    @example({(0, 1): F(1, 2), (1, 1): F(1, 2), (2, 0): F(1, 3)}, F(-1, 2), F(2, 3), (1, 1))
+    def test_readouts(self, ta, q0, r0, key):
+        a = _ref_clean(ta)
+        p = BiPoly(ta)
+        assert p.eval_at(q0, r0) == _ref_eval(a, q0, r0)
+        assert p.coeff(*key) == a.get(key, F(0))
+        for dr in range(6):
+            assert_matches(p.r_coefficient(dr), {(dq, 0): c for (dq, d), c in a.items() if d == dr})
+        assert p.to_records() == _ref_records(a)
+
+
+class TestHash:
+    @pytest.mark.parametrize(
+        "route, plain",
+        [
+            (R.scale(F(1, 2)) + R.scale(F(1, 2)), R),
+            (R.scale(F(1, 3)) * 3, R),
+            (R.scale(2).subst_r(F(1, 2), 0), R),
+            ((R * R).subst_r(F(1, 2), F(1, 2)).scale(4) - R.scale(2) - ONE, R * R),
+        ],
+    )
+    def test_equal_polynomials_hash_alike(self, route, plain):
+        assert route == plain
+        assert hash(route) == hash(plain)
+        assert len({route, plain}) == 1
+        assert {plain: "plain"}[route] == "plain"
+
+
 class TestRendering:
     def test_pinned_text(self):
         c2 = BiPoly({(0, 2): 1, (1, 1): 1, (0, 1): -1, (1, 0): F(-1, 2), (0, 0): F(1, 3)})
@@ -182,6 +303,11 @@ class TestRendering:
         records = [{"dq": 0, "dr": 0, "num": 1, "den": 1}] * 2
         with pytest.raises(ValueError):
             BiPoly.from_records(records)
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_nonpositive_denominator_rejected(self, den):
+        with pytest.raises(ValueError):
+            BiPoly.from_records([{"dq": 0, "dr": 1, "num": 1, "den": den}])
 
     @given(bipolys)
     def test_record_round_trip(self, p):
