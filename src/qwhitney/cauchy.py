@@ -41,11 +41,15 @@ relations against the second-kind triangle
 
 and the q = 1 specialization of the shift law where the right side is a
 binomial convolution of classical Cauchy numbers.  Each returns None on
-success and a description of the first failing case otherwise.  Each
-check builds one first-kind triangle and reads every row sum it needs
-from it, and the three shift laws, like the Stirling closed form, take
-their right side from ``triangles.shift_sum`` over one rising-factorial
-list per sum.
+success and a description of the first failing case otherwise.  All four
+are thin callers of one core, the methods of ``FirstKindContext``, which
+reads every row sum and substituted entry from one first-kind triangle
+and builds each of them once.  A check at n makes a context for n; a
+verification run makes one for its n_max and passes it to every check.
+The three shift laws, like the Stirling closed form, take their right
+side from ``triangles.shift_sum`` over one rising-factorial list.  The
+oracles above never read a context.  Rational arguments are ints or
+Fractions; anything else is a TypeError.
 """
 
 from __future__ import annotations
@@ -53,11 +57,12 @@ from __future__ import annotations
 import enum
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import triangles
-from .poly import ONE, Q, R, ZERO, BiPoly, XPoly
-from .triangles import TriangleKind, rising_factorials, shift_sum, stirling_first_row
+from .poly import ONE, Q, R, ZERO, BiPoly, XPoly, as_rational
+from .triangles import Triangle, TriangleKind, rising_factorials, shift_sum, stirling_first_row
 
 
 class CauchyKind(enum.Enum):
@@ -141,7 +146,7 @@ def cauchy_value(kind: CauchyKind, n: int, q0: Fraction | int, r0: Fraction | in
         raise ValueError("n must be nonnegative")
     second = kind is CauchyKind.SECOND
     powers, rows = triangles.scaled_rows(
-        TriangleKind.WHITNEY_FIRST, n, q0, -Fraction(r0) if second else r0
+        TriangleKind.WHITNEY_FIRST, n, q0, -as_rational(r0) if second else r0
     )
     row = deque(rows, maxlen=1).pop()
     common = lcm(*range(1, n + 2))
@@ -180,6 +185,110 @@ def q_cauchy_number(kind: CauchyKind, n: int) -> BiPoly:
 # -- identity verifiers --------------------------------------------------------
 
 
+class FirstKindContext:
+    """One first-kind triangle and what the identity checks read from its rows.
+
+    Row j of ``triangles.whitney_first(n)`` is the same for every n >= j, so
+    one triangle with rows 0..n_max serves every check up to n_max.  Each
+    part is built on first use and then kept: the first- and second-kind
+    triangles, taken from ``triangles.whitney_first`` and
+    ``triangles.whitney_second`` when first read; the row sums c_j(r) and
+    chat_j(r) and the alternating row sums chat_j(-r); the rising factorials
+    [r|q]_m and [r|1]_m; the classical numbers c_j; and, per shift value s,
+    the substituted c_j(s) and w(j, k) at r = s.  These are the values under
+    test; no oracle is built from them.
+    """
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        self._sums_at: dict[Fraction, list[BiPoly]] = {}
+        self._rows_at: dict[Fraction, list[list[BiPoly]]] = {}
+
+    @cached_property
+    def first(self) -> Triangle:
+        return triangles.whitney_first(self.n_max)
+
+    @cached_property
+    def second(self) -> Triangle:
+        return triangles.whitney_second(self.n_max)
+
+    @cached_property
+    def sums(self) -> list[BiPoly]:
+        """c_j(r) for j = 0..n_max."""
+        return [_row_sum(self.first.row(j), alternating=False) for j in range(self.n_max + 1)]
+
+    @cached_property
+    def alternating_sums(self) -> list[BiPoly]:
+        """chat_j(-r) for j = 0..n_max."""
+        return [_row_sum(self.first.row(j), alternating=True) for j in range(self.n_max + 1)]
+
+    @cached_property
+    def second_sums(self) -> list[BiPoly]:
+        """chat_j(r) for j = 0..n_max."""
+        return [p.subst_r(-1, 0) for p in self.alternating_sums]
+
+    @cached_property
+    def rise(self) -> list[BiPoly]:
+        return rising_factorials(self.n_max)
+
+    @cached_property
+    def classical_rise(self) -> list[BiPoly]:
+        return rising_factorials(self.n_max, step=ONE)
+
+    @cached_property
+    def classical_numbers(self) -> list[Fraction]:
+        return [cauchy_number(CauchyKind.FIRST, i) for i in range(self.n_max + 1)]
+
+    def sums_at(self, s: Fraction) -> list[BiPoly]:
+        """c_j(s) for j = 0..n_max, polynomials in q alone."""
+        if s not in self._sums_at:
+            self._sums_at[s] = [c.subst_r(0, s) for c in self.sums]
+        return self._sums_at[s]
+
+    def rows_at(self, s: Fraction) -> list[list[BiPoly]]:
+        """Rows 0..n_max of the first-kind triangle at r = s."""
+        if s not in self._rows_at:
+            rows = (self.first.row(j) for j in range(self.n_max + 1))
+            self._rows_at[s] = [[w.subst_r(0, s) for w in row] for row in rows]
+        return self._rows_at[s]
+
+    def shift_failure(self, n: int, s: Fraction) -> str | None:
+        """The shift law at n and s; see ``shift_counterexample``."""
+        lhs = self.sums[n].subst_r(1, s)
+        rhs = shift_sum(n, self.rise, enumerate(self.sums_at(s)[: n + 1]))
+        if lhs == rhs:
+            return None
+        return f"shift law fails at n={n}, s={s}: lhs={lhs}, rhs={rhs}"
+
+    def inversion_failure(self, n: int) -> str | None:
+        """Both inversion sums at n; see ``inversion_counterexample``."""
+        w2 = self.second.row(n)
+        for alternating, kind in ((False, "first"), (True, "second")):
+            sums = self.alternating_sums if alternating else self.sums
+            lhs = sum((w * sums[k] for k, w in enumerate(w2)), ZERO)
+            if lhs != BiPoly.const(Fraction((-1) ** n if alternating else 1, n + 1)):
+                return f"{kind}-kind inversion fails at n={n}: got {lhs}"
+        return None
+
+    def cheon_failure(self, n: int, s: Fraction) -> str | None:
+        """The entrywise shift law at n and s; see ``cheon_counterexample``."""
+        at_s = self.rows_at(s)
+        for k, w_nk in enumerate(self.first.row(n)):
+            lhs = w_nk.subst_r(1, s)
+            rhs = shift_sum(n, self.rise, ((j, at_s[j][k]) for j in range(k, n + 1)))
+            if lhs != rhs:
+                return f"triangle shift law fails at n={n}, k={k}, s={s}: lhs={lhs}, rhs={rhs}"
+        return None
+
+    def classical_failure(self, n: int) -> str | None:
+        """The q = 1 shift law at n; see ``classical_shift_counterexample``."""
+        lhs = self.sums[n].subst_q(0, 1)
+        rhs = shift_sum(n, self.classical_rise, enumerate(self.classical_numbers[: n + 1]))
+        if lhs == rhs:
+            return None
+        return f"classical shift law fails at n={n}: lhs={lhs}, rhs={rhs}"
+
+
 def shift_counterexample(n: int, s: Fraction | int) -> str | None:
     """Check c_n(r + s) = sum_j (-1)^(n-j) C(n, j) [r|q]_(n-j) c_j(s).
 
@@ -188,14 +297,7 @@ def shift_counterexample(n: int, s: Fraction | int) -> str | None:
     while the rising factorial carries the r dependence.  Every c_j is a
     row sum of the one triangle built for n.
     """
-    s = Fraction(s)
-    tri = triangles.whitney_first(n)
-    c = [_row_sum(tri.row(j), alternating=False) for j in range(n + 1)]
-    lhs = c[n].subst_r(1, s)
-    rhs = shift_sum(n, rising_factorials(n), enumerate(c_j.subst_r(0, s) for c_j in c))
-    if lhs == rhs:
-        return None
-    return f"shift law fails at n={n}, s={s}: lhs={lhs}, rhs={rhs}"
+    return FirstKindContext(n).shift_failure(n, as_rational(s))
 
 
 def inversion_counterexample(n: int) -> str | None:
@@ -205,13 +307,7 @@ def inversion_counterexample(n: int) -> str | None:
     sum_k W(n, k) chat_k(-r) to (-1)^n/(n+1); chat_k(-r) is the alternating
     row sum itself.  Both sums read the rows of one first-kind triangle.
     """
-    tri = triangles.whitney_first(n)
-    w2 = triangles.whitney_second(n).row(n)
-    for alternating, kind in ((False, "first"), (True, "second")):
-        lhs = sum((w * _row_sum(tri.row(k), alternating) for k, w in enumerate(w2)), ZERO)
-        if lhs != BiPoly.const(Fraction((-1) ** n if alternating else 1, n + 1)):
-            return f"{kind}-kind inversion fails at n={n}: got {lhs}"
-    return None
+    return FirstKindContext(n).inversion_failure(n)
 
 
 def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
@@ -221,16 +317,7 @@ def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
 
         w_{r+s}(n, k) = sum_j (-1)^(n-j) C(n, j) [r|q]_(n-j) w_s(j, k).
     """
-    s = Fraction(s)
-    tri = triangles.whitney_first(n)
-    at_s = [[w.subst_r(0, s) for w in tri.row(j)] for j in range(n + 1)]
-    rise = rising_factorials(n)
-    for k, w_nk in enumerate(tri.row(n)):
-        lhs = w_nk.subst_r(1, s)
-        rhs = shift_sum(n, rise, ((j, at_s[j][k]) for j in range(k, n + 1)))
-        if lhs != rhs:
-            return f"triangle shift law fails at n={n}, k={k}, s={s}: lhs={lhs}, rhs={rhs}"
-    return None
+    return FirstKindContext(n).cheon_failure(n, as_rational(s))
 
 
 def classical_shift_counterexample(n: int) -> str | None:
@@ -239,9 +326,4 @@ def classical_shift_counterexample(n: int) -> str | None:
     c_n(r) at q = 1 must equal
     sum_i C(n, i) (-1)^(n-i) [r|1]_(n-i) c_i with c_i the classical numbers.
     """
-    lhs = cauchy_first(n).subst_q(0, 1)
-    rise = rising_factorials(n, step=ONE)
-    rhs = shift_sum(n, rise, ((i, cauchy_number(CauchyKind.FIRST, i)) for i in range(n + 1)))
-    if lhs == rhs:
-        return None
-    return f"classical shift law fails at n={n}: lhs={lhs}, rhs={rhs}"
+    return FirstKindContext(n).classical_failure(n)

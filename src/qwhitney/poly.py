@@ -49,6 +49,12 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def as_rational(value) -> Fraction:
+    """An int or Fraction as a Fraction; anything else, a float or a string
+    included, is a TypeError, as for a ``BiPoly`` coefficient."""
+    return Fraction(*_ratio(value))
+
+
 class BiPoly:
     """Polynomial in the indeterminates q and r over the rationals.
 

@@ -20,23 +20,32 @@ check passed, or its failure message, which is formatted only then.
 carrying the check count and the counterexample messages for any failures;
 the command-line front end turns those into exit codes.  All checks are
 exact structural comparisons of canonical polynomials.
+
+One ``cauchy.FirstKindContext`` serves every suite of a run.  It builds
+the first- and second-kind triangles at most once, through the module
+attributes ``triangles.whitney_first`` and ``triangles.whitney_second``,
+and only when a suite first reads them, so the work stays inside that
+suite.  It also keeps the row sums, the rising factorials and the
+substituted rows that the Cauchy polynomials and the shift laws read.
+The context holds results only: the oracles they are checked against
+(the integrals, the Stirling closed forms, the q-numbers and the
+generating functions) are built by their own code paths and never read
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import cauchy, series, triangles
-from .cauchy import CauchyKind
-from .poly import ONE, Q, R, ZERO, BiPoly
+from .cauchy import CauchyKind, FirstKindContext
+from .poly import ONE, Q, R, ZERO, BiPoly, as_rational
 
 DEFAULT_SHIFTS = (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(7, 2))
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     checks: int
     failures: tuple[str, ...]
@@ -57,33 +66,33 @@ def _equal(got: BiPoly, want: BiPoly, context: str) -> str | None:
     return None if got == want else f"{context}: got {got}, want {want}"
 
 
-def _suite_first_kind_oracle(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    for n in range(n_max + 1):
-        p = cauchy.cauchy_first(n)
+def _suite_first_kind_oracle(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
+    for n in range(ctx.n_max + 1):
+        p = ctx.sums[n]
         yield _equal(p, cauchy.cauchy_first_integral(n), f"first kind vs integral, n={n}")
         yield _equal(p, cauchy.cauchy_first_via_stirling(n), f"first kind vs Stirling sum, n={n}")
         yield _check(p.r_degree() == n, f"first kind r-degree, n={n}: got {p.r_degree()}")
         yield _equal(p.r_coefficient(n), BiPoly.const((-1) ** n), f"first kind r-leading, n={n}")
 
 
-def _suite_second_kind_oracle(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    for n in range(n_max + 1):
-        p = cauchy.cauchy_second(n)
+def _suite_second_kind_oracle(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
+    for n in range(ctx.n_max + 1):
+        p = ctx.second_sums[n]
         yield _equal(p, cauchy.cauchy_second_integral(n), f"second kind vs integral, n={n}")
         yield _check(p.r_degree() == n, f"second kind r-degree, n={n}: got {p.r_degree()}")
         yield _equal(p.r_coefficient(n), ONE, f"second kind r-leading, n={n}")
-        dual = cauchy.cauchy_first(n).subst_q(-1, 0).scale((-1) ** n)
+        dual = ctx.sums[n].subst_q(-1, 0).scale((-1) ** n)
         yield _equal(p, dual, f"second kind vs sign-flipped q in first kind, n={n}")
 
 
-def _suite_egf(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    order = n_max
+def _suite_egf(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
+    order = ctx.n_max
     first = series.cauchy_first_egf(order)
     second = series.cauchy_second_egf(order)
     for n in range(order + 1):
-        yield _equal(series.egf_term(first, n), cauchy.cauchy_first(n), f"first-kind EGF term, n={n}")
-        yield _equal(series.egf_term(second, n), cauchy.cauchy_second(n), f"second-kind EGF term, n={n}")
-    tri = triangles.whitney_first(order)
+        yield _equal(series.egf_term(first, n), ctx.sums[n], f"first-kind EGF term, n={n}")
+        yield _equal(series.egf_term(second, n), ctx.second_sums[n], f"second-kind EGF term, n={n}")
+    tri = ctx.first
     for k in range(order + 1):
         column = series.whitney_column_egf(k, order)
         for n in range(order + 1):
@@ -101,14 +110,14 @@ def _suite_egf(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
         )
 
 
-def _suite_inversion(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    return (cauchy.inversion_counterexample(n) for n in range(n_max + 1))
+def _suite_inversion(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
+    return (ctx.inversion_failure(n) for n in range(ctx.n_max + 1))
 
 
-def _suite_orthogonality(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    w1 = triangles.whitney_first(n_max)
-    w2 = triangles.whitney_second(n_max)
-    for n in range(n_max + 1):
+def _suite_orthogonality(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
+    w1 = ctx.first
+    w2 = ctx.second
+    for n in range(ctx.n_max + 1):
         yield _equal(w1.entry(n, n), ONE, f"first-kind diagonal, n={n}")
         yield _equal(w2.entry(n, n), ONE, f"second-kind diagonal, n={n}")
         for k in range(n + 1):
@@ -127,14 +136,14 @@ def _suite_orthogonality(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
             yield None if ok else f"first-kind sign pattern, n={n}, k={k}: got {w}"
 
 
-def _suite_shift(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    return (cauchy.shift_counterexample(n, s) for n in range(n_max + 1) for s in shifts)
+def _suite_shift(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
+    return (ctx.shift_failure(n, s) for n in range(ctx.n_max + 1) for s in shifts)
 
 
-def _suite_cheon(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    yield from (cauchy.cheon_counterexample(n, s) for n in range(n_max + 1) for s in shifts)
-    tri = triangles.whitney_first(n_max)
-    for n in range(n_max + 1):
+def _suite_cheon(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
+    yield from (ctx.cheon_failure(n, s) for n in range(ctx.n_max + 1) for s in shifts)
+    tri = ctx.first
+    for n in range(ctx.n_max + 1):
         for k in range(n + 1):
             yield _equal(
                 triangles.whitney_first_cheon(n, k),
@@ -143,8 +152,9 @@ def _suite_cheon(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
             )
 
 
-def _suite_reductions(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    w1 = triangles.whitney_first(n_max)
+def _suite_reductions(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
+    n_max = ctx.n_max
+    w1 = ctx.first
     for r0 in (0, 1, 2, 5):
         rst = triangles.r_stirling_first(n_max, r0)
         for n in range(n_max + 1):
@@ -179,8 +189,9 @@ def _suite_reductions(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
                 f"Stirling triangle vs integer rows, n={n}, k={k}",
             )
     for kind in CauchyKind:
+        polys = ctx.sums if kind is CauchyKind.FIRST else ctx.second_sums
         for n in range(n_max + 1):
-            at_r0 = cauchy.cauchy_poly(kind, n).subst_r(0, 0)
+            at_r0 = polys[n].subst_r(0, 0)
             number = cauchy.q_cauchy_number(kind, n)
             yield _equal(at_r0, number, f"{kind.value}-kind polynomial at r=0, n={n}")
             yield _check(
@@ -189,9 +200,9 @@ def _suite_reductions(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
             )
 
 
-def _suite_classical(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    for n in range(n_max + 1):
-        yield cauchy.classical_shift_counterexample(n)
+def _suite_classical(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
+    for n in range(ctx.n_max + 1):
+        yield ctx.classical_failure(n)
         got_first = cauchy.cauchy_number(CauchyKind.FIRST, n)
         got_second = cauchy.cauchy_number(CauchyKind.SECOND, n)
         yield _check(
@@ -204,18 +215,21 @@ def _suite_classical(n_max: int, shifts: tuple[Fraction, ...]) -> _Outcomes:
         )
 
 
-def _counted(name: str, suite: Callable[[int, tuple[Fraction, ...]], _Outcomes]):
+_Suite = Callable[[FirstKindContext, tuple[Fraction, ...]], _Outcomes]
+
+
+def _counted(name: str, suite: _Suite):
     """Run a suite to its end and count its outcomes, so that one call of a
     ``SUITES`` entry spans the whole suite and returns its result."""
 
-    def run(n_max: int, shifts: tuple[Fraction, ...]) -> SuiteResult:
-        outcomes = list(suite(n_max, shifts))
+    def run(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> SuiteResult:
+        outcomes = list(suite(ctx, shifts))
         return SuiteResult(name, len(outcomes), tuple(m for m in outcomes if m is not None))
 
     return run
 
 
-SUITES: dict[str, Callable[[int, tuple[Fraction, ...]], SuiteResult]] = {
+SUITES: dict[str, Callable[[FirstKindContext, tuple[Fraction, ...]], SuiteResult]] = {
     name: _counted(name, suite)
     for name, suite in (
         ("first-kind-oracle", _suite_first_kind_oracle),
@@ -240,11 +254,15 @@ def run_suite(
     n_max: int,
     shifts: tuple[Fraction, ...] | None = None,
 ) -> list[SuiteResult]:
-    """Run one named suite, or every suite for name "all"."""
+    """Run one named suite, or every suite for name "all", over one context.
+
+    The shift values are ints or Fractions; anything else is a TypeError.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     chosen = tuple(SUITES) if name == "all" else (name,)
     if any(s not in SUITES for s in chosen):
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(suite_names())}")
-    effective = DEFAULT_SHIFTS if shifts is None else shifts
-    return [SUITES[suite](n_max, effective) for suite in chosen]
+    effective = DEFAULT_SHIFTS if shifts is None else tuple(as_rational(s) for s in shifts)
+    ctx = FirstKindContext(n_max)
+    return [SUITES[suite](ctx, effective) for suite in chosen]

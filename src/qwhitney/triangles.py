@@ -40,7 +40,7 @@ from math import gcd, lcm
 from typing import Iterator
 
 from .arith import binomial
-from .poly import ONE, Q, R, ZERO, BiPoly, XPoly
+from .poly import ONE, Q, R, ZERO, BiPoly, XPoly, as_rational
 
 
 class TriangleKind(enum.Enum):
@@ -174,14 +174,15 @@ def scaled_rows(
     r0 = C/D, the scaled entries follow the triangle's own step with q and r
     replaced by the integers A and C, so no Fraction appears in the loop.
     Returns the powers D^0..D^n_max and an iterator over rows 0..n_max,
-    each a new list.
+    each a new list.  q0 and r0 are ints or Fractions; anything else is a
+    TypeError.
     """
     if kind not in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
         raise ValueError("numeric rows exist for the w and W kinds only")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    q0 = Fraction(q0)
-    r0 = Fraction(r0)
+    q0 = as_rational(q0)
+    r0 = as_rational(r0)
     d = lcm(q0.denominator, r0.denominator)
     powers = [1]
     for _ in range(n_max):

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -19,7 +20,10 @@ from qwhitney import (
     cauchy_second,
     cauchy_second_integral,
     q_cauchy_number,
+    run_suite,
+    whitney_first_values,
     whitney_second,
+    whitney_second_values,
 )
 from qwhitney.cauchy import (
     cauchy_value,
@@ -28,6 +32,7 @@ from qwhitney.cauchy import (
     inversion_counterexample,
     shift_counterexample,
 )
+from qwhitney.triangles import TriangleKind, scaled_rows, value_rows
 
 from _golden import FIRST_KIND, SECOND_KIND, classical_cauchy_oracle
 from _points import eval_points
@@ -192,3 +197,36 @@ class TestShiftLaws:
     def test_verifier_wrappers(self):
         assert cheon_counterexample(4, F(-2)) is None
         assert shift_counterexample(6, F(3, 5)) is None
+
+
+def _listed(scaled):
+    powers, rows = scaled
+    return powers, list(rows)
+
+
+class TestRationalInputs:
+    """The API's rational arguments are ints or Fractions, as BiPoly coefficients are."""
+
+    ENTRY_POINTS = {
+        "run_suite": lambda x: run_suite("shift", 1, (F(1), x)),
+        "shift_counterexample": lambda x: shift_counterexample(1, x),
+        "cheon_counterexample": lambda x: cheon_counterexample(1, x),
+        "scaled_rows q0": lambda x: _listed(scaled_rows(TriangleKind.WHITNEY_FIRST, 2, x, 0)),
+        "scaled_rows r0": lambda x: _listed(scaled_rows(TriangleKind.WHITNEY_SECOND, 2, 1, x)),
+        "value_rows": lambda x: list(value_rows(TriangleKind.WHITNEY_FIRST, 2, 1, x)),
+        "whitney_first_values": lambda x: whitney_first_values(2, x, 0),
+        "whitney_second_values": lambda x: whitney_second_values(2, 1, x),
+        "cauchy_value first": lambda x: cauchy_value(CauchyKind.FIRST, 2, x, 0),
+        "cauchy_value second": lambda x: cauchy_value(CauchyKind.SECOND, 2, 1, x),
+    }
+
+    @pytest.mark.parametrize("value", [0.5, float("nan"), "1/2", Decimal("0.5")], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_other_types_are_rejected(self, entry, value):
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            self.ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_int_and_fraction_are_accepted_alike(self, entry):
+        call = self.ENTRY_POINTS[entry]
+        assert call(F(2)) == call(2)

@@ -72,6 +72,17 @@ class TestPinnedExamples:
         assert result.returncode == 0
         assert result.stdout == b"r^2 + (q - 1)*r - (1/2)*q + 1/3\n"
 
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # Measured against the modules loaded before the import, so that
+        # whatever the interpreter's site setup imports does not count.
+        script = (
+            "import sys; before = set(sys.modules); import qwhitney.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, check=False)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == b"[]\n"
+
 
 class TestFormats:
     def test_cauchy_latex(self, capsys):

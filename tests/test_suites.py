@@ -7,7 +7,7 @@ import pytest
 
 import qwhitney.cauchy as cauchy_mod
 import qwhitney.triangles as triangles_mod
-from qwhitney import ONE, Triangle, TriangleKind, run_suite
+from qwhitney import ONE, SuiteResult, Triangle, TriangleKind, run_suite
 from qwhitney.cli import main
 
 # Check counts per suite, keyed by (n_max, number of shift values).  They
@@ -83,6 +83,73 @@ def corrupted_first_kind(monkeypatch):
         return Triangle(TriangleKind.WHITNEY_FIRST, n_max, tuple(tuple(row) for row in rows))
 
     monkeypatch.setattr(triangles_mod, "whitney_first", corrupted)
+
+
+# Per-suite (failures, checks) and first counterexample of
+# run_suite("all", 4, SHIFTS[2]) under ``corrupted_first_kind``, as the suites
+# reported them when each check still built its own triangles.
+CORRUPTED_ALL_4 = {
+    "first-kind-oracle": (2, 20, "first kind vs integral, n=2: got r^2 + (q - 1)*r - (1/2)*q + 5/6, "
+                                 "want r^2 + (q - 1)*r - (1/2)*q + 1/3"),
+    "second-kind-oracle": (2, 20, "second kind vs integral, n=2: got r^2 - (q + 1)*r + (1/2)*q - 1/6, "
+                                  "want r^2 - (q + 1)*r + (1/2)*q + 1/3"),
+    "egf": (3, 40, "first-kind EGF term, n=2: got r^2 + (q - 1)*r - (1/2)*q + 1/3, "
+                   "want r^2 + (q - 1)*r - (1/2)*q + 5/6"),
+    "inversion": (3, 5, "first-kind inversion fails at n=2: got 5/6"),
+    "orthogonality": (6, 50, "orthogonality sum, n=2, k=1: got 1, want 0"),
+    "shift": (4, 10, "shift law fails at n=3, s=1: "
+                     "lhs=-r^3 - (3*q + 3/2)*r^2 - (2*q^2 + 3*q + 1)*r - q^2 - q - 1/4, "
+                     "rhs=-r^3 - (3*q + 3/2)*r^2 - (2*q^2 + 3*q + 5/2)*r - q^2 - q - 1/4"),
+    "cheon": (5, 25, "triangle shift law fails at n=3, k=1, s=1: "
+                     "lhs=3*r^2 + (6*q + 6)*r + 2*q^2 + 6*q + 3, rhs=3*r^2 + (6*q + 3)*r + 2*q^2 + 6*q + 3"),
+    "reductions": (7, 166, "q=1, r=0 reduction, n=2, k=1: got 0, want -1"),
+    "classical": (1, 15, "classical shift law fails at n=2: lhs=r^2 + 1/3, rhs=r^2 - 1/6"),
+}
+
+
+def test_corrupted_triangle_fails_every_suite_of_a_shared_run(corrupted_first_kind):
+    results = run_suite("all", 4, SHIFTS[2])
+    got = {r.name: (len(r.failures), r.checks, r.failures[0]) for r in results}
+    assert got == CORRUPTED_ALL_4
+
+
+@pytest.fixture
+def triangle_builds(monkeypatch):
+    """Count the calls of triangles.whitney_first and whitney_second by name."""
+    counts = {}
+    for name in ("whitney_first", "whitney_second"):
+        real = getattr(triangles_mod, name)
+
+        def counted(n_max, real=real, name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return real(n_max)
+
+        monkeypatch.setattr(triangles_mod, name, counted)
+    return counts
+
+
+def test_a_run_builds_each_triangle_once(triangle_builds):
+    assert all(r.passed for r in run_suite("all", 6, SHIFTS[4]))
+    assert triangle_builds == {"whitney_first": 1, "whitney_second": 1}
+
+
+@pytest.mark.parametrize("suite", ["shift", "cheon", "inversion"])
+def test_a_single_suite_builds_the_first_kind_once(triangle_builds, suite):
+    assert all(r.passed for r in run_suite(suite, 6, SHIFTS[4]))
+    assert triangle_builds["whitney_first"] == 1
+
+
+def test_suite_result_is_an_immutable_record():
+    result = SuiteResult("shift", 3, ("a failure",))
+    assert (result.name, result.checks, result.failures) == ("shift", 3, ("a failure",))
+    assert SuiteResult._fields == ("name", "checks", "failures")
+    assert not result.passed
+    assert SuiteResult("shift", 3, ()).passed
+    assert result == SuiteResult("shift", 3, ("a failure",))
+    assert result != SuiteResult("shift", 4, ("a failure",))
+    with pytest.raises(AttributeError):
+        result.checks = 4
+    assert repr(result) == "SuiteResult(name='shift', checks=3, failures=('a failure',))"
 
 
 @pytest.mark.parametrize(
