@@ -13,7 +13,9 @@ output is exact; no floating point appears anywhere.  Results go to
 standard output and counterexample diagnostics to the error stream.  Exit
 codes: 0 on success, 1 when a verification suite finds a failing identity,
 2 on usage errors, 130 on an interrupt, and 141 when the reader of
-standard output closes it early.
+standard output closes it early.  Sizes (--n-max, --n, --order) are
+bounded by MAX_SYMBOLIC_SIZE, or by MAX_EVAL_SIZE with --eval; a larger
+one is a usage error, reported before any work starts.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import suites
 from .cauchy import CauchyKind, cauchy_poly, cauchy_value
 from .poly import BiPoly
 from .series import Series, cauchy_first_egf, cauchy_second_egf, whitney_column_egf
-from .triangles import TriangleKind, triangle, value_rows
+from .triangles import TriangleKind, decimal_rows, triangle
 
 FORMATS = ("text", "json", "csv", "latex")
 
@@ -39,6 +41,15 @@ _MAX_REPORTED_FAILURES = 20
 # SIGINT.
 _EXIT_BROKEN_PIPE = 141
 _EXIT_INTERRUPTED = 130
+
+
+# Largest size a command accepts.  A symbolic result of size n (a triangle,
+# the triangle behind a Cauchy polynomial, an EGF to order n, the triangles
+# of a verify run) holds about n^3/6 coefficients at once; with --eval only
+# two rows of n + 1 integers are held at a time.  Memory also grows with
+# the digits of the evaluation point, which these limits leave unbounded.
+MAX_SYMBOLIC_SIZE = 200
+MAX_EVAL_SIZE = 2000
 
 
 class UsageError(Exception):
@@ -116,6 +127,18 @@ def _rat_json(x: Fraction) -> dict[str, int]:
     return {"num": x.numerator, "den": x.denominator}
 
 
+def _size(args: argparse.Namespace) -> tuple[str, int, int]:
+    """The command's size option, its value and its limit."""
+    if args.command == "egf":
+        return "--order", args.order, MAX_SYMBOLIC_SIZE
+    if args.command == "verify":
+        return "--n-max", args.n_max, MAX_SYMBOLIC_SIZE
+    limit = MAX_SYMBOLIC_SIZE if args.eval is None else MAX_EVAL_SIZE
+    if args.command == "cauchy":
+        return "--n", args.n, limit
+    return "--n-max", args.n_max, limit
+
+
 def _cmd_triangle(args: argparse.Namespace) -> int:
     kind = args.kind
     if args.r0 is not None and kind != "sr":
@@ -134,15 +157,20 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         # so the requested evaluation point does not affect them.
         point = (q0, rv) if kind in ("w", "W") else (1, r0)
         base = TriangleKind.WHITNEY_SECOND if kind == "W" else TriangleKind.WHITNEY_FIRST
-        values = value_rows(base, n_max, *point)
+        values = decimal_rows(base, n_max, *point)
+        # Cells are written with str() of the Decimals, which prints their
+        # digits in linear time, and JSON rows by hand from the same strings.
         if fmt == "json":
-            rows = ([{"num": a, "den": b} for a, b in row] for row in values)
+            rows = (
+                "[" + ",".join([f'{{"num":{a!s},"den":{b!s}}}' for a, b in row]) + "]"
+                for row in values
+            )
         else:
-            rows = ([f"{a}/{b}" if b != 1 else f"{a}" for a, b in row] for row in values)
+            rows = ([f"{a!s}/{b!s}" if b != 1 else str(a) for a, b in row] for row in values)
     else:
         tri = triangle(TriangleKind(kind), n_max, r0 if kind == "sr" else None)
         if fmt == "json":
-            rows = ([p.to_records() for p in tri.row(n)] for n in range(n_max + 1))
+            rows = (_json_dump([p.to_records() for p in tri.row(n)]) for n in range(n_max + 1))
         else:
             rows = ([_poly_str(p, fmt) for p in tri.row(n)] for n in range(n_max + 1))
 
@@ -151,7 +179,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     if fmt == "json":
         write(_json_dump(header)[:-1] + ',"entries":[')
         for n, row in enumerate(rows):
-            write(("," if n else "") + _json_dump(row))
+            write(("," if n else "") + row)
         write("]}\n")
         return 0
     if fmt == "csv":
@@ -313,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
         digits = sys.get_int_max_str_digits()
         set_digits(0)
     try:
+        option, size, limit = _size(args)
+        if size > limit:
+            raise UsageError(f"{option} {size} is above the limit {limit}")
         code = args.run(args)
         sys.stdout.flush()
         return code

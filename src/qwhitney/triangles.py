@@ -16,12 +16,15 @@ the first kind; q = 1, r = r0 gives the r-Stirling variant shifted so that
 entry (n, k) holds the coefficient tied to (n + r0, k + r0) in the doubly
 shifted convention.  Entries are BiPoly values.  At a rational point
 (q0, r0) = (A/D, C/D), ``scaled_rows`` runs the same recurrence step over
-the integers u(n, k) = w(n, k) * D^(n-k) (or W), and ``value_rows`` reduces
-each entry to lowest terms only when it is read out; the Stirling kinds are
-those integer rows at q = 1, r = r0, where D = 1.  ``row_poly``
-reassembles sum_k w(n, k) x^k as an XPoly so callers can check it against
-the defining product, and ``whitney_first_cheon`` computes a single
-first-kind entry from the closed double-sum form
+the integers u(n, k) = w(n, k) * D^(n-k) (or W); the Stirling kinds are
+those integer rows at q = 1, r = r0, where D = 1.  ``decimal_rows`` runs
+that step over integer-valued Decimals in an exact context, so that a row
+can be printed with ``str()`` in time linear in its digits, and reduces
+each entry to lowest terms as its row is read out; ``value_rows`` gives the
+same pairs as ints.  ``row_poly`` reassembles sum_k w(n, k) x^k as an XPoly
+so callers can check it against the defining product, and
+``whitney_first_cheon`` computes a single first-kind entry from the closed
+double-sum form
 
     w(n, k) = sum_{i} C(n, i) * (-1)^(n-i) * q^(i-k) * [r|q]_(n-i) * s(i, k)
 
@@ -34,6 +37,19 @@ one list of rising factorials, made by ``rising_factorials``.
 from __future__ import annotations
 
 import enum
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -165,6 +181,31 @@ def r_stirling_first(n_max: int, r0: int) -> Triangle:
     return triangle(TriangleKind.R_STIRLING_FIRST, n_max, r0)
 
 
+def _scaled_point(
+    kind: TriangleKind, n_max: int, q0: Fraction | int, r0: Fraction | int
+) -> tuple[int, int, int]:
+    """(D, A, C) with q0 = A/D and r0 = C/D over the least common denominator D.
+
+    Checks the arguments of ``scaled_rows`` and ``decimal_rows``.
+    """
+    if kind not in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
+        raise ValueError("numeric rows exist for the w and W kinds only")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    q0 = as_rational(q0)
+    r0 = as_rational(r0)
+    d = lcm(q0.denominator, r0.denominator)
+    return d, q0.numerator * (d // q0.denominator), r0.numerator * (d // r0.denominator)
+
+
+def _powers(one, d, n: int) -> list:
+    """d^0..d^n, each the one before times d."""
+    powers = [one]
+    for _ in range(n):
+        powers.append(powers[-1] * d)
+    return powers
+
+
 def scaled_rows(
     kind: TriangleKind, n_max: int, q0: Fraction | int, r0: Fraction | int
 ) -> tuple[list[int], Iterator[list[int]]]:
@@ -177,43 +218,81 @@ def scaled_rows(
     each a new list.  q0 and r0 are ints or Fractions; anything else is a
     TypeError.
     """
-    if kind not in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
-        raise ValueError("numeric rows exist for the w and W kinds only")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    q0 = as_rational(q0)
-    r0 = as_rational(r0)
-    d = lcm(q0.denominator, r0.denominator)
-    powers = [1]
-    for _ in range(n_max):
-        powers.append(powers[-1] * d)
-    a = q0.numerator * (d // q0.denominator)
-    c = r0.numerator * (d // r0.denominator)
+    d, a, c = _scaled_point(kind, n_max, q0, r0)
+    powers = _powers(1, d, n_max)
     return powers, _rows(kind, n_max, a, c, 1)
 
 
-def _lowest_terms(u: int, m: int, powers: list[int]) -> tuple[int, int]:
-    """u / D^m as (numerator, denominator) in lowest terms; powers[j] = D^j.
+# Integer arithmetic in base 10 with no rounding: a result that would need
+# more digits than the context holds raises Inexact or Rounded rather than
+# lose one.  Entered only while a row is computed (see ``decimal_rows``).
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
+_DECIMAL_ZERO = (Decimal(0), Decimal(1))
 
-    Only primes of D can cancel, so gcd(u mod D, D) = 1 settles an entry.
+
+def _lowest_terms(
+    u: Decimal, m: int, powers: list[int], dpowers: list[Decimal]
+) -> tuple[Decimal, Decimal]:
+    """u / D^m as (numerator, denominator) in lowest terms.
+
+    powers[j] = D^j as an int and dpowers[j] = D^j as a Decimal.  Only
+    primes of D can cancel, so gcd(u mod D, D) = 1 settles an entry.
     Otherwise gcd(u, D^j) is taken on u mod D^j for j = 1, 2, 4, ...
     (capped at m) until it stops growing, which it does once it equals
-    gcd(u, D^m).  No gcd of full-size operands is taken.
+    gcd(u, D^m).  No gcd of full-size operands is taken, and the
+    remainders are the only values converted to int.  A zero entry,
+    which the step can leave as a negative zero, is returned as 0/1.
     """
     if not u:
-        return 0, 1
+        return _DECIMAL_ZERO
     if not m:
-        return u, 1
-    j, g = 1, gcd(u % powers[1], powers[1])
+        return u, dpowers[0]
+    j, g = 1, gcd(int(u % dpowers[1]), powers[1])
     while g != 1 and j < m:
         j = min(2 * j, m)
-        grown = gcd(u % powers[j], powers[j])
+        grown = gcd(int(u % dpowers[j]), powers[j])
         if grown == g:
             break
         g = grown
     if g == 1:
-        return u, powers[m]
-    return u // g, powers[m] // g
+        return u, dpowers[m]
+    g = Decimal(g)
+    return u // g, dpowers[m] // g
+
+
+def decimal_rows(
+    kind: TriangleKind, n_max: int, q0: Fraction | int, r0: Fraction | int
+) -> Iterator[list[tuple[Decimal, Decimal]]]:
+    """Rows of w or W at (q0, r0), one at a time, as (num, den) pairs of Decimals.
+
+    Each pair is in lowest terms with den > 0, as in ``Fraction``, and
+    both are integers with exponent 0, so ``str()`` prints their digits,
+    in time linear in their length (``str()`` of an int takes quadratic
+    time).  The step of ``scaled_rows`` runs on integer-valued Decimals in
+    an exact context, entered only while a row is computed, never across
+    a ``yield``: the caller's decimal context is the same between rows.
+    """
+    d, a, c = _scaled_point(kind, n_max, q0, r0)
+    one = Decimal(1)
+    with localcontext(_EXACT):
+        dpowers = _powers(one, Decimal(d), n_max)
+    rows = _rows(kind, n_max, Decimal(a), Decimal(c), one)
+    return _reduced_rows(rows, _powers(1, d, n_max), dpowers)
+
+
+def _reduced_rows(
+    rows: Iterator[list[Decimal]], powers: list[int], dpowers: list[Decimal]
+) -> Iterator[list[tuple[Decimal, Decimal]]]:
+    for n in range(len(powers)):
+        with localcontext(_EXACT):
+            row = next(rows)  # runs the step, so inside the exact context
+            reduced = [_lowest_terms(u, n - k, powers, dpowers) for k, u in enumerate(row)]
+        yield reduced
 
 
 def value_rows(
@@ -221,13 +300,10 @@ def value_rows(
 ) -> Iterator[list[tuple[int, int]]]:
     """Rows of w or W at (q0, r0), one at a time, as (num, den) pairs.
 
-    Each pair is in lowest terms with den > 0, as in ``Fraction``.
+    Each pair is in lowest terms with den > 0, as in ``Fraction``: the
+    pairs of ``decimal_rows`` as ints.
     """
-    powers, rows = scaled_rows(kind, n_max, q0, r0)
-    return (
-        [_lowest_terms(u, n - k, powers) for k, u in enumerate(row)]
-        for n, row in enumerate(rows)
-    )
+    return ([(int(a), int(b)) for a, b in row] for row in decimal_rows(kind, n_max, q0, r0))
 
 
 def _fraction_rows(kind: TriangleKind, n_max: int, q0, r0) -> list[list[Fraction]]:

@@ -2,7 +2,9 @@
 
 They cover integers, zero, negative values, denominators with small primes
 (so that entries of the scaled integer rows share factors with the scale),
-and q and r over one shared denominator.
+q and r over one shared denominator, q and r over two distinct primes in
+17..31 (as the benchmark draws them, so that D is a product of two large
+primes), and q and r over a power of ten.
 """
 
 from fractions import Fraction as F
@@ -21,5 +23,17 @@ eval_points = st.one_of(
         st.integers(-40, 40),
         st.integers(-40, 40),
         st.integers(1, 12),
+    ),
+    st.builds(
+        lambda a, c, dens: (F(a, dens[0]), F(c, dens[1])),
+        st.integers(-40, 40),
+        st.integers(-40, 40),
+        st.permutations((17, 19, 23, 29, 31)),
+    ),
+    st.builds(
+        lambda a, c, k: (F(a, 10**k), F(c, 10**k)),
+        st.integers(-40, 40),
+        st.integers(-40, 40),
+        st.integers(1, 40),
     ),
 )

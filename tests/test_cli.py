@@ -18,6 +18,8 @@ from qwhitney import (
     q_cauchy_number,
     whitney_column_egf,
     whitney_first,
+    whitney_first_values,
+    whitney_second_values,
 )
 from qwhitney.cli import main
 
@@ -313,6 +315,62 @@ class TestLargeAndInterruptedOutput:
         monkeypatch.setattr(suites_mod, "run_suite", interrupted)
         code, _, _ = run_cli(capsys, "verify", "--suite", "shift", "--n-max", "1")
         assert code == 130
+
+
+def _reference_eval_triangle(kind: str, n_max: int, point: str, fmt: str, r0: int = 2) -> str:
+    """``triangle --eval`` output rendered from Fractions, with an f-string
+    per cell and json.dumps, independently of the command's own writer."""
+    q0, rv = (F(part.split("=")[1]) for part in point.split(","))
+    header = {"kind": kind, "n_max": n_max}
+    if kind == "sr":
+        header["r0"] = r0
+    header["eval"] = {"q": str(q0), "r": str(rv)}
+    at = (q0, rv) if kind in ("w", "W") else (1, r0 if kind == "sr" else 0)
+    values = (whitney_second_values if kind == "W" else whitney_first_values)(n_max, *at)
+    if fmt == "json":
+        entries = [[{"num": v.numerator, "den": v.denominator} for v in row] for row in values]
+        return json.dumps(dict(header, entries=entries), separators=(",", ":")) + "\n"
+    cell = "{},{},{}\n" if fmt == "csv" else "n={} k={}: {}\n"
+    lines = [
+        cell.format(
+            n, k, f"{v.numerator}/{v.denominator}" if v.denominator != 1 else f"{v.numerator}"
+        )
+        for n, row in enumerate(values)
+        for k, v in enumerate(row)
+    ]
+    return ("n,k,value\n" if fmt == "csv" else "") + "".join(lines)
+
+
+_EVAL_POINTS = (
+    "q=1/3,r=-2/7",
+    "q=16/23,r=-17/29",  # coprime prime denominators, as the benchmark draws them
+    "q=5/12,r=-7/18",  # D = 36: many entries reduce
+    "q=1,r=0",  # zero entries, which the step leaves as negative zeros
+    "q=0,r=0",
+    "q=1/2,r=1/2",  # W(3, 2) = 3: a denominator 2 that reduces to 1
+    f"q={TestLargeAndInterruptedOutput.HUGE_Q},r=1",  # D = 10^200
+)
+_EVAL_CASES = [(kind, point) for kind in ("w", "W") for point in _EVAL_POINTS] + [
+    ("s", "q=1/3,r=2/7"),
+    ("sr", "q=1/3,r=2/7"),
+]
+
+
+class TestEvalTriangleBytes:
+    """``triangle --eval`` prints exactly what an f-string over each Fraction prints."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json", "latex"])
+    @pytest.mark.parametrize("kind, point", _EVAL_CASES)
+    @pytest.mark.parametrize("n_max", [0, 40])
+    def test_matches_the_fraction_rendering(self, capsys, kind, point, fmt, n_max):
+        extra = ("--r0", "2") if kind == "sr" else ()
+        code, out, err = run_cli(
+            capsys, "triangle", "--kind", kind, "--n-max", str(n_max), *extra,
+            "--eval", point, "--format", fmt,
+        )
+        assert code == 0, err
+        with no_digit_limit():
+            assert out == _reference_eval_triangle(kind, n_max, point, fmt)
 
 
 class TestUsageErrors:

@@ -1,17 +1,20 @@
 """Drive the command line with argv lists built from its own vocabulary.
 
 Every argv must end in a documented exit code (0, 1 or 2) without an
-uncaught exception.  Sizes stay at 3 or below, so each run is quick.
+uncaught exception.  Sizes stay at 3 or below, so each run is quick; sizes
+near each limit run with the commands stubbed out, so no work starts.
 """
 
 import contextlib
 import io
 from itertools import chain
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhitney.cli import main
+from qwhitney import cli
+from qwhitney.cli import MAX_EVAL_SIZE, MAX_SYMBOLIC_SIZE, main
 
 SIZES = ("0", "1", "2", "3")
 FORMATS = ("text", "json", "csv", "latex")
@@ -72,3 +75,39 @@ def test_any_argv_ends_in_a_documented_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2), argv
+
+
+# Each command's size option, with the limit it has in that mode.
+LIMITS = (
+    (("triangle", "--kind", "w"), "--n-max", MAX_SYMBOLIC_SIZE),
+    (("triangle", "--kind", "W", "--eval", "q=1/3,r=2/7", "--format", "json"), "--n-max",
+     MAX_EVAL_SIZE),
+    (("triangle", "--kind", "sr", "--r0", "2", "--eval", "q=1,r=0"), "--n-max", MAX_EVAL_SIZE),
+    (("cauchy", "--kind", "first"), "--n", MAX_SYMBOLIC_SIZE),
+    (("cauchy", "--kind", "second", "--eval", "q=-1,r=0"), "--n", MAX_EVAL_SIZE),
+    (("egf", "--which", "w:2"), "--order", MAX_SYMBOLIC_SIZE),
+    (("verify", "--suite", "all"), "--n-max", MAX_SYMBOLIC_SIZE),
+)
+COMMAND_NAMES = ("_cmd_triangle", "_cmd_cauchy", "_cmd_egf", "_cmd_verify")
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(LIMITS),
+    st.one_of(st.integers(-3, 3), st.integers(4, 10**30)),
+    st.booleans(),
+)
+def test_sizes_beyond_each_limit_exit_2_before_any_work(case, offset, joined):
+    prefix, option, limit = case
+    size = limit + offset
+    size_args = (f"{option}={size}",) if joined else (option, str(size))
+    started = []
+    stubs = {name: lambda args: started.append(args) or 0 for name in COMMAND_NAMES}
+    err = io.StringIO()
+    with mock.patch.multiple(cli, **stubs), contextlib.redirect_stderr(err):
+        code = main([*prefix, *size_args])
+    if size <= limit:
+        assert (code, len(started)) == (0, 1)
+    else:
+        assert (code, started) == (2, [])
+        assert f"error: {option} {size} is above the limit {limit}" in err.getvalue()

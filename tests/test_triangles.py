@@ -1,3 +1,5 @@
+import decimal
+from decimal import Decimal
 from fractions import Fraction as F
 from math import comb, factorial, prod
 
@@ -27,7 +29,8 @@ from qwhitney import (
     whitney_second,
     whitney_second_values,
 )
-from qwhitney.triangles import rising_factorials, scaled_rows, value_rows
+from qwhitney import triangles
+from qwhitney.triangles import decimal_rows, rising_factorials, scaled_rows, value_rows
 
 from _points import eval_points, rationals
 
@@ -292,6 +295,58 @@ class TestIntegerKernel:
             scaled_rows(TriangleKind.STIRLING_FIRST, 3, 1, 0)
         with pytest.raises(ValueError):
             value_rows(TriangleKind.WHITNEY_SECOND, -1, 1, 0)
+
+
+class TestDecimalRows:
+    """``decimal_rows`` against the int rows of ``scaled_rows``, which stay the oracle."""
+
+    @given(eval_points, st.integers(0, 12))
+    @example((F(3), F(-2)), 6)  # D = 1
+    @example((F(1), F(0)), 6)  # r = 0: zero entries, made as -0 by the step
+    @example((F(0), F(0)), 4)
+    @example((F(0), F(3, 5)), 5)  # q = 0
+    @example((F(1, 3), F(2, 7)), 0)
+    @example((F(1, 3), F(2, 7)), 1)
+    @example((F(5, 12), F(-7, 18)), 12)  # D = 36
+    @example((F(1, 10**200), F(1)), 12)  # D = 10^200
+    def test_pairs_are_the_scaled_rows_in_lowest_terms(self, point, n_max):
+        for kind in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
+            powers, ints = scaled_rows(kind, n_max, *point)
+            rows = list(decimal_rows(kind, n_max, *point))
+            assert len(rows) == n_max + 1
+            for n, (row, want_row) in enumerate(zip(rows, ints)):
+                assert len(row) == n + 1
+                for k, ((a, b), u) in enumerate(zip(row, want_row)):
+                    want = F(u, powers[n - k])
+                    assert isinstance(a, Decimal) and isinstance(b, Decimal)
+                    # Equal digit strings: lowest terms, den > 0, no "-0" and
+                    # no exponent.
+                    assert (str(a), str(b)) == (str(want.numerator), str(want.denominator))
+
+    def test_rounding_raises_instead_of_printing_a_wrong_digit(self, monkeypatch):
+        narrow = triangles._EXACT.copy()
+        narrow.prec = 30
+        monkeypatch.setattr(triangles, "_EXACT", narrow)
+        # At q = 1, r = 0 (D = 1) the entries are Stirling numbers: row 10
+        # fits in 30 digits, and |s(40, 1)| = 39! has 47.
+        rows = decimal_rows(TriangleKind.WHITNEY_FIRST, 40, 1, 0)
+        for _ in range(11):
+            next(rows)
+        # The C module raises Inexact when the dropped digits are not all
+        # zero; Rounded is signalled with it.
+        with pytest.raises((decimal.Rounded, decimal.Inexact)):
+            list(rows)
+
+    def test_caller_context_is_kept_between_rows(self):
+        before = decimal.getcontext()
+        prec, traps = before.prec, dict(before.traps)
+        rows = decimal_rows(TriangleKind.WHITNEY_SECOND, 30, F(1, 3), F(2, 7))
+        next(rows)
+        next(rows)
+        assert decimal.getcontext() is before
+        assert (before.prec, dict(before.traps)) == (prec, traps)
+        next(rows)
+        assert decimal.getcontext() is before
 
 
 class TestDispatcher:
