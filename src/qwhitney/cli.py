@@ -14,8 +14,9 @@ standard output and counterexample diagnostics to the error stream.  Exit
 codes: 0 on success, 1 when a verification suite finds a failing identity,
 2 on usage errors, 130 on an interrupt, and 141 when the reader of
 standard output closes it early.  Sizes (--n-max, --n, --order) are
-bounded by MAX_SYMBOLIC_SIZE, or by MAX_EVAL_SIZE with --eval; a larger
-one is a usage error, reported before any work starts.
+bounded by MAX_SYMBOLIC_SIZE, or by MAX_EVAL_SIZE with --eval, and with
+--eval the size times the digits of the point by MAX_EVAL_DIGITS; a
+larger one is a usage error, reported before any work starts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import json
 import os
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 from . import suites
 from .cauchy import CauchyKind, cauchy_poly, cauchy_value
@@ -46,10 +49,18 @@ _EXIT_INTERRUPTED = 130
 # Largest size a command accepts.  A symbolic result of size n (a triangle,
 # the triangle behind a Cauchy polynomial, an EGF to order n, the triangles
 # of a verify run) holds about n^3/6 coefficients at once; with --eval only
-# two rows of n + 1 integers are held at a time.  Memory also grows with
-# the digits of the evaluation point, which these limits leave unbounded.
+# two rows of n + 1 integers are held at a time.
 MAX_SYMBOLIC_SIZE = 200
 MAX_EVAL_SIZE = 2000
+
+# Largest size times digits of an --eval point q = A/D, r = C/D over the
+# least common denominator D, counted in the largest of |A|, |C| and D.
+# An entry of size n has about n times that many digits (plus n*log10(n)
+# from the factors k*A + C), and a row holds n + 1 of them, so this bounds
+# the memory of a row: about 2000 * 10^4 digits at MAX_EVAL_SIZE.  The
+# points in use are far below it: 3 digits at n = 300 in the benchmark,
+# and D = 10^200 at n <= 40 in the tests.
+MAX_EVAL_DIGITS = 10_000
 
 
 class UsageError(Exception):
@@ -127,6 +138,15 @@ def _rat_json(x: Fraction) -> dict[str, int]:
     return {"num": x.numerator, "den": x.denominator}
 
 
+def _point_digits(q0: Fraction, r0: Fraction) -> int:
+    """Digits of the largest of |A|, |C| and D, with q0 = A/D and r0 = C/D
+    over the least common denominator D."""
+    d = lcm(q0.denominator, r0.denominator)
+    a = abs(q0.numerator) * (d // q0.denominator)
+    c = abs(r0.numerator) * (d // r0.denominator)
+    return len(str(max(a, c, d)))
+
+
 def _size(args: argparse.Namespace) -> tuple[str, int, int]:
     """The command's size option, its value and its limit."""
     if args.command == "egf":
@@ -137,6 +157,19 @@ def _size(args: argparse.Namespace) -> tuple[str, int, int]:
     if args.command == "cauchy":
         return "--n", args.n, limit
     return "--n-max", args.n_max, limit
+
+
+def _eval_lines(values, fmt: str):
+    """The text or csv lines of each row of Decimal (num, den) pairs, one string per row."""
+    one = Decimal(1)  # compares with a Decimal faster than the int 1 does
+    for n, row in enumerate(values):
+        pre, sep = (f"{n},", ",") if fmt == "csv" else (f"n={n} k=", ": ")
+        yield "".join(
+            [
+                f"{pre}{k}{sep}{a!s}/{b!s}\n" if b != one else f"{pre}{k}{sep}{a!s}\n"
+                for k, (a, b) in enumerate(row)
+            ]
+        )
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
@@ -159,20 +192,24 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         base = TriangleKind.WHITNEY_SECOND if kind == "W" else TriangleKind.WHITNEY_FIRST
         values = decimal_rows(base, n_max, *point)
         # Cells are written with str() of the Decimals, which prints their
-        # digits in linear time, and JSON rows by hand from the same strings.
+        # digits in linear time: one f-string per cell, and JSON rows by hand.
         if fmt == "json":
             rows = (
                 "[" + ",".join([f'{{"num":{a!s},"den":{b!s}}}' for a, b in row]) + "]"
                 for row in values
             )
         else:
-            rows = ([f"{a!s}/{b!s}" if b != 1 else str(a) for a, b in row] for row in values)
+            rows = _eval_lines(values, fmt)
     else:
         tri = triangle(TriangleKind(kind), n_max, r0 if kind == "sr" else None)
         if fmt == "json":
             rows = (_json_dump([p.to_records() for p in tri.row(n)]) for n in range(n_max + 1))
         else:
-            rows = ([_poly_str(p, fmt) for p in tri.row(n)] for n in range(n_max + 1))
+            cell = "{},{},{}\n" if fmt == "csv" else "n={} k={}: {}\n"
+            rows = (
+                "".join([cell.format(n, k, _poly_str(p, fmt)) for k, p in enumerate(tri.row(n))])
+                for n in range(n_max + 1)
+            )
 
     # Rows are written as they are made, so only one is held at a time.
     write = sys.stdout.write
@@ -184,9 +221,8 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         return 0
     if fmt == "csv":
         write("n,k,value\n")
-    cell = "{},{},{}\n" if fmt == "csv" else "n={} k={}: {}\n"
-    for n, row in enumerate(rows):
-        write("".join([cell.format(n, k, value) for k, value in enumerate(row)]))
+    for row in rows:
+        write(row)
     return 0
 
 
@@ -344,6 +380,13 @@ def main(argv: list[str] | None = None) -> int:
         option, size, limit = _size(args)
         if size > limit:
             raise UsageError(f"{option} {size} is above the limit {limit}")
+        if getattr(args, "eval", None) is not None:
+            point_digits = _point_digits(*args.eval)
+            if size * point_digits > MAX_EVAL_DIGITS:
+                raise UsageError(
+                    f"{option} {size} times the {point_digits} digits of the --eval point"
+                    f" is above the limit {MAX_EVAL_DIGITS}"
+                )
         code = args.run(args)
         sys.stdout.flush()
         return code

@@ -312,15 +312,17 @@ def _frac_atom(c: Fraction | int, latex: bool, standalone: bool) -> str:
 
 
 def _var_part(dq: int, dr: int, latex: bool) -> str:
+    # LaTeX sets only the first character after ^ as the exponent, so an
+    # exponent of two or more digits is braced there.
     parts = []
     if dq == 1:
         parts.append("q")
     elif dq > 1:
-        parts.append(f"q^{dq}")
+        parts.append(f"q^{{{dq}}}" if latex and dq > 9 else f"q^{dq}")
     if dr == 1:
         parts.append("r")
     elif dr > 1:
-        parts.append(f"r^{dr}")
+        parts.append(f"r^{{{dr}}}" if latex and dr > 9 else f"r^{dr}")
     return ("" if latex else "*").join(parts)
 
 

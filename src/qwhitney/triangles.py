@@ -20,7 +20,11 @@ the integers u(n, k) = w(n, k) * D^(n-k) (or W); the Stirling kinds are
 those integer rows at q = 1, r = r0, where D = 1.  ``decimal_rows`` runs
 that step over integer-valued Decimals in an exact context, so that a row
 can be printed with ``str()`` in time linear in its digits, and reduces
-each entry to lowest terms as its row is read out; ``value_rows`` gives the
+each entry to lowest terms as its row is read out.  Only primes of D can
+cancel, and the step is linear with integer multipliers, so the same step
+over ints mod D^J (a residue row, about one machine word per entry) gives
+gcd(u, D^J); an entry goes back to its full Decimal value only when some
+prime of D divides it to its full power in D^J.  ``value_rows`` gives the
 same pairs as ints.  ``row_poly`` reassembles sum_k w(n, k) x^k as an XPoly
 so callers can check it against the defining product, and
 ``whitney_first_cheon`` computes a single first-kind entry from the closed
@@ -117,12 +121,14 @@ class Triangle:
         return XPoly(self.row(n))
 
 
-def _rows(kind: TriangleKind, n_max: int, q, r, one) -> Iterator[list]:
+def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0) -> Iterator[list]:
     """Rows 0..n_max of w or W, with q and r taken from any commutative ring.
 
     Both triangles follow one step, row[k] = prev[k-1] + m_k * prev[k] with
     entries outside 0..n read as zero; only the multiplier differs:
     m_k = -(n*q + r) for the first kind and m_k = k*q + r for the second.
+    With integer q, r and one, a nonzero ``mod`` reduces each row mod it,
+    so the rows hold the residues of the integer rows.
     """
     second = kind is TriangleKind.WHITNEY_SECOND
     row = [one]
@@ -134,6 +140,8 @@ def _rows(kind: TriangleKind, n_max: int, q, r, one) -> Iterator[list]:
             *[a + m * b for a, m, b in zip(row, mults[1:], row[1:])],
             row[-1],
         ]
+        if mod:
+            row = [u % mod for u in row]
         yield row
 
 
@@ -236,29 +244,25 @@ _DECIMAL_ZERO = (Decimal(0), Decimal(1))
 
 
 def _lowest_terms(
-    u: Decimal, m: int, powers: list[int], dpowers: list[Decimal]
+    u: Decimal, m: int, j: int, g: int, powers: list[int], dpowers: list[Decimal]
 ) -> tuple[Decimal, Decimal]:
-    """u / D^m as (numerator, denominator) in lowest terms.
+    """u / D^m as (numerator, denominator) in lowest terms, given g = gcd(u, D^j).
 
-    powers[j] = D^j as an int and dpowers[j] = D^j as a Decimal.  Only
-    primes of D can cancel, so gcd(u mod D, D) = 1 settles an entry.
-    Otherwise gcd(u, D^j) is taken on u mod D^j for j = 1, 2, 4, ...
-    (capped at m) until it stops growing, which it does once it equals
-    gcd(u, D^m).  No gcd of full-size operands is taken, and the
-    remainders are the only values converted to int.  A zero entry,
-    which the step can leave as a negative zero, is returned as 0/1.
+    powers[i] = D^i as an int and dpowers[i] = D^i as a Decimal, and
+    1 <= j <= m unless m = 0.  Only primes of D can cancel.  For a prime p
+    whose power in D is p^e, g holds p^min(v, e*j), with p^v the power of
+    p in u.  If g divides D^(j-1), each of these is below e*j, so it is
+    p^v, and g is already gcd(u, D^m).  Otherwise j is doubled (capped at
+    m) and g taken again as gcd(u mod D^j, D^j), until g divides D^(j-1)
+    or j = m.  No gcd of full-size operands is taken, and the remainders
+    are the only values converted to int.  A zero entry, which the step
+    can leave as a negative zero, is returned as 0/1.
     """
     if not u:
         return _DECIMAL_ZERO
-    if not m:
-        return u, dpowers[0]
-    j, g = 1, gcd(int(u % dpowers[1]), powers[1])
-    while g != 1 and j < m:
+    while j < m and powers[j - 1] % g:
         j = min(2 * j, m)
-        grown = gcd(int(u % dpowers[j]), powers[j])
-        if grown == g:
-            break
-        g = grown
+        g = gcd(int(u % dpowers[j]), powers[j])
     if g == 1:
         return u, dpowers[m]
     g = Decimal(g)
@@ -276,22 +280,45 @@ def decimal_rows(
     time).  The step of ``scaled_rows`` runs on integer-valued Decimals in
     an exact context, entered only while a row is computed, never across
     a ``yield``: the caller's decimal context is the same between rows.
+
+    The same step also runs on ints mod D^J, with J = 64 // D.bit_length()
+    (at least 1, at most n_max), so that D^J is about one machine word.
+    The step is linear with the integer multipliers k*A + C (or n*A + C),
+    so these rows hold u(n, k) mod D^J, and gcd(res, D^j) = gcd(u, D^j)
+    for j = min(n - k, J).  ``_lowest_terms`` starts from that gcd, and
+    goes back to the Decimal u only when some prime of D divides u to its
+    full power in D^J.
     """
     d, a, c = _scaled_point(kind, n_max, q0, r0)
     one = Decimal(1)
     with localcontext(_EXACT):
         dpowers = _powers(one, Decimal(d), n_max)
+    powers = _powers(1, d, n_max)
+    big_j = min(max(1, 64 // d.bit_length()), n_max)
+    modulus = powers[big_j]
     rows = _rows(kind, n_max, Decimal(a), Decimal(c), one)
-    return _reduced_rows(rows, _powers(1, d, n_max), dpowers)
+    residues = _rows(kind, n_max, a % modulus, c % modulus, 1, modulus)
+    return _reduced_rows(rows, residues, big_j, powers, dpowers)
 
 
 def _reduced_rows(
-    rows: Iterator[list[Decimal]], powers: list[int], dpowers: list[Decimal]
+    rows: Iterator[list[Decimal]],
+    residues: Iterator[list[int]],
+    big_j: int,
+    powers: list[int],
+    dpowers: list[Decimal],
 ) -> Iterator[list[tuple[Decimal, Decimal]]]:
     for n in range(len(powers)):
+        # Entry k has m = n - k factors of D, and its residue gives
+        # gcd(u, D^j) for j = min(m, big_j).
+        ms = range(n, -1, -1)
+        js = [min(m, big_j) for m in ms]
         with localcontext(_EXACT):
             row = next(rows)  # runs the step, so inside the exact context
-            reduced = [_lowest_terms(u, n - k, powers, dpowers) for k, u in enumerate(row)]
+            reduced = [
+                _lowest_terms(u, m, j, gcd(res, powers[j]), powers, dpowers)
+                for u, res, m, j in zip(row, next(residues), ms, js)
+            ]
         yield reduced
 
 

@@ -92,6 +92,11 @@ class TestFormats:
         assert code == 0
         assert out == "-r + \\frac{1}{2}\n"
 
+    def test_cauchy_latex_braces_two_digit_exponents(self, capsys):
+        code, out, _ = run_cli(capsys, "cauchy", "--kind", "first", "--n", "11", "--format", "latex")
+        assert code == 0
+        assert out.startswith("-r^{11} - (55q - \\frac{11}{2})r^{10} - (1320q^2 - 275q")
+
     def test_cauchy_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "cauchy", "--kind", "first", "--n", "4", "--format", "json")
         assert code == 0
@@ -341,6 +346,17 @@ def _reference_eval_triangle(kind: str, n_max: int, point: str, fmt: str, r0: in
     return ("n,k,value\n" if fmt == "csv" else "") + "".join(lines)
 
 
+def _assert_eval_triangle_bytes(capsys, kind, point, fmt, n_max):
+    extra = ("--r0", "2") if kind == "sr" else ()
+    code, out, err = run_cli(
+        capsys, "triangle", "--kind", kind, "--n-max", str(n_max), *extra,
+        "--eval", point, "--format", fmt,
+    )
+    assert code == 0, err
+    with no_digit_limit():
+        assert out == _reference_eval_triangle(kind, n_max, point, fmt)
+
+
 _EVAL_POINTS = (
     "q=1/3,r=-2/7",
     "q=16/23,r=-17/29",  # coprime prime denominators, as the benchmark draws them
@@ -349,6 +365,7 @@ _EVAL_POINTS = (
     "q=0,r=0",
     "q=1/2,r=1/2",  # W(3, 2) = 3: a denominator 2 that reduces to 1
     f"q={TestLargeAndInterruptedOutput.HUGE_Q},r=1",  # D = 10^200
+    "q=1/55340232221128654848,r=1/3",  # D = 3 * 2^64: residues mod D itself
 )
 _EVAL_CASES = [(kind, point) for kind in ("w", "W") for point in _EVAL_POINTS] + [
     ("s", "q=1/3,r=2/7"),
@@ -363,14 +380,14 @@ class TestEvalTriangleBytes:
     @pytest.mark.parametrize("kind, point", _EVAL_CASES)
     @pytest.mark.parametrize("n_max", [0, 40])
     def test_matches_the_fraction_rendering(self, capsys, kind, point, fmt, n_max):
-        extra = ("--r0", "2") if kind == "sr" else ()
-        code, out, err = run_cli(
-            capsys, "triangle", "--kind", kind, "--n-max", str(n_max), *extra,
-            "--eval", point, "--format", fmt,
-        )
-        assert code == 0, err
-        with no_digit_limit():
-            assert out == _reference_eval_triangle(kind, n_max, point, fmt)
+        _assert_eval_triangle_bytes(capsys, kind, point, fmt, n_max)
+
+    # Residues are taken mod D^32 at D = 2, so these rows go past them, and
+    # some entries reduce from a denominator 2^m with m > 32 to 1.
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("kind, point", [("w", "q=3/2,r=1/2"), ("W", "q=1/2,r=1")])
+    def test_matches_the_fraction_rendering_past_the_residues(self, capsys, kind, point, fmt):
+        _assert_eval_triangle_bytes(capsys, kind, point, fmt, 80)
 
 
 class TestUsageErrors:

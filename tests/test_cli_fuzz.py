@@ -2,7 +2,8 @@
 
 Every argv must end in a documented exit code (0, 1 or 2) without an
 uncaught exception.  Sizes stay at 3 or below, so each run is quick; sizes
-near each limit run with the commands stubbed out, so no work starts.
+and evaluation points near each limit run with the commands stubbed out,
+so no work starts.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwhitney import cli
-from qwhitney.cli import MAX_EVAL_SIZE, MAX_SYMBOLIC_SIZE, main
+from qwhitney.cli import MAX_EVAL_DIGITS, MAX_EVAL_SIZE, MAX_SYMBOLIC_SIZE, main
 
 SIZES = ("0", "1", "2", "3")
 FORMATS = ("text", "json", "csv", "latex")
@@ -111,3 +112,47 @@ def test_sizes_beyond_each_limit_exit_2_before_any_work(case, offset, joined):
     else:
         assert (code, started) == (2, [])
         assert f"error: {option} {size} is above the limit {limit}" in err.getvalue()
+
+
+# --eval points whose largest integer (|A|, |C| or D over the common
+# denominator D) has exactly the given number of digits.
+EVAL_POINTS_OF_DIGITS = (
+    lambda d: f"q=1/1{'0' * (d - 1)},r=0",  # D = 10^(d-1)
+    lambda d: f"q=1/1{'0' * (d - 1)},r=2/7",  # D = 7 * 10^(d-1)
+    lambda d: f"q=-{'9' * d},r=0",  # |A| = 10^d - 1
+    lambda d: f"q=3,r= -{'9' * d} ",  # |C| = 10^d - 1
+    lambda d: f"r=1/{'9' * d},q=-5/{'9' * d}",
+)
+EVAL_COMMANDS = (
+    ("triangle", "--kind", "w", "--format", "json"),
+    ("triangle", "--kind", "W"),
+    ("triangle", "--kind", "sr", "--r0", "2", "--format", "csv"),
+    ("cauchy", "--kind", "first"),
+    ("cauchy", "--kind", "second", "--format", "json"),
+)
+
+
+# Sizes from 3 up, so that each point stays within the digits that a
+# literal on the command line may have.
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(EVAL_COMMANDS),
+    st.integers(3, MAX_EVAL_SIZE),
+    st.integers(-3, 3),
+    st.sampled_from(EVAL_POINTS_OF_DIGITS),
+)
+def test_eval_points_beyond_the_digit_limit_exit_2_before_any_work(prefix, size, offset, point):
+    digits = MAX_EVAL_DIGITS // size + offset
+    option = "--n" if prefix[0] == "cauchy" else "--n-max"
+    started = []
+    stubs = {name: lambda args: started.append(args) or 0 for name in COMMAND_NAMES}
+    err = io.StringIO()
+    with mock.patch.multiple(cli, **stubs), contextlib.redirect_stderr(err):
+        code = main([*prefix, option, str(size), "--eval", point(digits)])
+    if size * digits <= MAX_EVAL_DIGITS:
+        assert (code, len(started)) == (0, 1)
+    else:
+        assert (code, started) == (2, [])
+        want = (f"error: {option} {size} times the {digits} digits of the --eval point"
+                f" is above the limit {MAX_EVAL_DIGITS}")
+        assert want in err.getvalue()

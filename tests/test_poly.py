@@ -283,10 +283,21 @@ class TestRendering:
         assert BiPoly.const(F(-1, 3)).to_text() == "-1/3"
         assert BiPoly({(2, 3): 1}).to_text() == "q^2*r^3"
         assert BiPoly({(2, 3): 1}).to_latex() == "q^2r^3"
+        # LaTeX takes one character as a bare exponent, so longer ones are
+        # braced there, and only there.
+        assert BiPoly({(10, 9): 1}).to_text() == "q^10*r^9"
+        assert BiPoly({(10, 9): 1}).to_latex() == "q^{10}r^9"
+        assert BiPoly({(9, 11): 1}).to_latex() == "q^9r^{11}"
 
     def test_grouped_coefficients(self):
         p = BiPoly({(1, 2): -3, (0, 2): F(3, 2)})
         assert p.to_text() == "-(3*q - 3/2)*r^2"
+
+    def test_pinned_latex_with_two_digit_exponents(self):
+        # The start of qwhitney cauchy --kind first --n 11 --format latex.
+        p = BiPoly({(0, 11): -1, (1, 10): -55, (0, 10): F(11, 2), (12, 0): 2})
+        assert p.to_latex() == "-r^{11} - (55q - \\frac{11}{2})r^{10} + 2q^{12}"
+        assert p.to_text() == "-r^11 - (55*q - 11/2)*r^10 + 2*q^12"
 
     def test_records_are_canonically_ordered(self):
         p = R * R + Q * R

@@ -1,7 +1,7 @@
 import decimal
 from decimal import Decimal
 from fractions import Fraction as F
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import example, given
@@ -297,31 +297,62 @@ class TestIntegerKernel:
             value_rows(TriangleKind.WHITNEY_SECOND, -1, 1, 0)
 
 
+def _assert_lowest_terms(kind, n_max, point, rows):
+    """rows are the pairs of ``decimal_rows``, checked against ``scaled_rows``."""
+    powers, ints = scaled_rows(kind, n_max, *point)
+    assert len(rows) == n_max + 1
+    for n, (row, want_row) in enumerate(zip(rows, ints)):
+        assert len(row) == n + 1
+        for k, ((a, b), u) in enumerate(zip(row, want_row)):
+            want = F(u, powers[n - k])
+            assert isinstance(a, Decimal) and isinstance(b, Decimal)
+            # Equal digit strings: lowest terms, den > 0, no "-0" and no
+            # exponent.
+            assert (str(a), str(b)) == (str(want.numerator), str(want.denominator))
+
+
 class TestDecimalRows:
     """``decimal_rows`` against the int rows of ``scaled_rows``, which stay the oracle."""
 
     @given(eval_points, st.integers(0, 12))
     @example((F(3), F(-2)), 6)  # D = 1
     @example((F(1), F(0)), 6)  # r = 0: zero entries, made as -0 by the step
+    @example((F(1, 2), F(0)), 90)  # zero entries whose residue is 0 mod D^J
     @example((F(0), F(0)), 4)
     @example((F(0), F(3, 5)), 5)  # q = 0
     @example((F(1, 3), F(2, 7)), 0)
     @example((F(1, 3), F(2, 7)), 1)
+    @example((F(1, 2), F(1, 2)), 0)  # the residues are taken mod D^0 = 1
+    @example((F(1, 2), F(1, 2)), 1)
     @example((F(5, 12), F(-7, 18)), 12)  # D = 36
-    @example((F(1, 10**200), F(1)), 12)  # D = 10^200
+    @example((F(1, 10**200), F(1)), 12)  # D = 10^200: residues mod D itself (J = 1)
+    @example((F(1, 10**200), F(3, 10**200)), 12)
+    @example((F(1, 2**64 - 1), F(1, 2**64 - 1)), 40)  # D = 3*5*17*... < 2^64: J = 1
+    @example((F(1, 2**64 + 1), F(-1, 2**64 + 1)), 40)  # D > 2^64: J = 1
     def test_pairs_are_the_scaled_rows_in_lowest_terms(self, point, n_max):
         for kind in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
-            powers, ints = scaled_rows(kind, n_max, *point)
-            rows = list(decimal_rows(kind, n_max, *point))
-            assert len(rows) == n_max + 1
-            for n, (row, want_row) in enumerate(zip(rows, ints)):
-                assert len(row) == n + 1
-                for k, ((a, b), u) in enumerate(zip(row, want_row)):
-                    want = F(u, powers[n - k])
-                    assert isinstance(a, Decimal) and isinstance(b, Decimal)
-                    # Equal digit strings: lowest terms, den > 0, no "-0" and
-                    # no exponent.
-                    assert (str(a), str(b)) == (str(want.numerator), str(want.denominator))
+            _assert_lowest_terms(kind, n_max, point, list(decimal_rows(kind, n_max, *point)))
+
+    @pytest.mark.parametrize(
+        "point, n_max",
+        [
+            ((F(1, 2), F(3, 2)), 120),  # D = 2
+            ((F(1, 3), F(1, 3)), 100),  # D = 3
+            ((F(1, 3), F(2, 7)), 100),  # D = 21
+            ((F(5, 12), F(-7, 18)), 80),  # D = 36
+        ],
+    )
+    def test_small_primes_go_back_to_the_decimal_entry(self, monkeypatch, point, n_max):
+        # An entry is settled by one gcd with its residue unless some prime of
+        # D reaches its full power in it; then the doubling takes more gcds.
+        calls = []
+        monkeypatch.setattr(triangles, "gcd", lambda a, b: calls.append(b) or gcd(a, b))
+        kinds = (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND)
+        rows = {kind: list(decimal_rows(kind, n_max, *point)) for kind in kinds}
+        monkeypatch.undo()
+        assert len(calls) > 2 * (n_max + 1) * (n_max + 2) // 2
+        for kind in kinds:
+            _assert_lowest_terms(kind, n_max, point, rows[kind])
 
     def test_rounding_raises_instead_of_printing_a_wrong_digit(self, monkeypatch):
         narrow = triangles._EXACT.copy()
