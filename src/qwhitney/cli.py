@@ -15,8 +15,9 @@ codes: 0 on success, 1 when a verification suite finds a failing identity,
 2 on usage errors, 130 on an interrupt, and 141 when the reader of
 standard output closes it early.  Sizes (--n-max, --n, --order) are
 bounded by MAX_SYMBOLIC_SIZE, or by MAX_EVAL_SIZE with --eval, and with
---eval the size times the digits of the point by MAX_EVAL_DIGITS; a
-larger one is a usage error, reported before any work starts.
+--eval (or --kind sr) the size times the digits of the point (or of
+--r0) by MAX_EVAL_DIGITS; a larger one is a usage error, reported before
+any work starts.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
 
 from . import suites
 from .cauchy import CauchyKind, cauchy_poly, cauchy_value
-from .poly import BiPoly
+from .poly import BiPoly, common_denominator
 from .series import Series, cauchy_first_egf, cauchy_second_egf, whitney_column_egf
 from .triangles import TriangleKind, decimal_rows, triangle
 
@@ -141,10 +141,8 @@ def _rat_json(x: Fraction) -> dict[str, int]:
 def _point_digits(q0: Fraction, r0: Fraction) -> int:
     """Digits of the largest of |A|, |C| and D, with q0 = A/D and r0 = C/D
     over the least common denominator D."""
-    d = lcm(q0.denominator, r0.denominator)
-    a = abs(q0.numerator) * (d // q0.denominator)
-    c = abs(r0.numerator) * (d // r0.denominator)
-    return len(str(max(a, c, d)))
+    d, a, c = common_denominator(q0, r0)
+    return len(str(max(abs(a), abs(c), d)))
 
 
 def _size(args: argparse.Namespace) -> tuple[str, int, int]:
@@ -380,13 +378,17 @@ def main(argv: list[str] | None = None) -> int:
         option, size, limit = _size(args)
         if size > limit:
             raise UsageError(f"{option} {size} is above the limit {limit}")
-        if getattr(args, "eval", None) is not None:
-            point_digits = _point_digits(*args.eval)
-            if size * point_digits > MAX_EVAL_DIGITS:
-                raise UsageError(
-                    f"{option} {size} times the {point_digits} digits of the --eval point"
-                    f" is above the limit {MAX_EVAL_DIGITS}"
-                )
+        # The sr kind is computed at the point q = 1, r = --r0, so --r0 is
+        # bounded as the --eval point is, and the longer of the two counts.
+        point_digits = _point_digits(*args.eval) if getattr(args, "eval", None) is not None else 0
+        r0_digits = len(str(args.r0)) if getattr(args, "kind", None) == "sr" and args.r0 else 0
+        point = "the --eval point" if point_digits >= r0_digits else "--r0"
+        point_digits = max(point_digits, r0_digits)
+        if size * point_digits > MAX_EVAL_DIGITS:
+            raise UsageError(
+                f"{option} {size} times the {point_digits} digits of {point}"
+                f" is above the limit {MAX_EVAL_DIGITS}"
+            )
         code = args.run(args)
         sys.stdout.flush()
         return code

@@ -49,6 +49,15 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def common_denominator(x, y) -> tuple[int, int, int]:
+    """(D, A, C) with x = A/D and y = C/D over the least common denominator D,
+    for ints or Fractions x and y; anything else is a TypeError, as in ``_ratio``."""
+    x_num, x_den = _ratio(x)
+    y_num, y_den = _ratio(y)
+    d = lcm(x_den, y_den)
+    return d, x_num * (d // x_den), y_num * (d // y_den)
+
+
 def as_rational(value) -> Fraction:
     """An int or Fraction as a Fraction; anything else, a float or a string
     included, is a TypeError, as for a ``BiPoly`` coefficient."""
@@ -200,12 +209,9 @@ class BiPoly:
 
     def _subst(self, var: int, a: Fraction | int, b: Fraction | int) -> BiPoly:
         """Replace the variable at key position var (0 for q, 1 for r) by a*var + b."""
-        a_num, a_den = _ratio(a)
-        b_num, b_den = _ratio(b)
         # a = A/E and b = B/E, so (a*var + b)^d = (A*var + B)^d / E^d; a term
         # of degree d < top is lifted to the common denominator E^top
-        e = lcm(a_den, b_den)
-        big_a, big_b = a_num * (e // a_den), b_num * (e // b_den)
+        e, big_a, big_b = common_denominator(a, b)
         top = max((key[var] for key in self._terms), default=0)
         out: dict[Key, int] = {}
         for key, c in self._terms.items():
@@ -219,16 +225,8 @@ class BiPoly:
         return BiPoly._of(out, self._den * e**top)
 
     def eval_at(self, q0: Fraction | int, r0: Fraction | int) -> Fraction:
-        """Exact value at the rational point (q0, r0)."""
-        q_num, q_den = _ratio(q0)
-        r_num, r_den = _ratio(r0)
-        top_q = max((dq for dq, _ in self._terms), default=0)
-        top_r = max((dr for _, dr in self._terms), default=0)
-        total = sum(
-            c * q_num**dq * q_den ** (top_q - dq) * r_num**dr * r_den ** (top_r - dr)
-            for (dq, dr), c in self._terms.items()
-        )
-        return Fraction(total, self._den * q_den**top_q * r_den**top_r)
+        """Exact value at the rational point (q0, r0): q, then r, replaced by a constant."""
+        return self._subst(0, 0, q0)._subst(1, 0, r0).const_value()
 
     # -- serialization -------------------------------------------------------
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .poly import ONE, ZERO, BiPoly
+from .poly import ONE, R, ZERO, BiPoly
 
 
 class Series:
@@ -158,22 +158,19 @@ def whitney_column_egf(k: int, order: int) -> Series:
     power = Series.one(order)
     for _ in range(k):
         power = power * L
-    minus_r = BiPoly({(0, 1): -1})
-    return binomial_power(minus_r, order) * power.scale(Fraction(1, factorial(k)))
+    return binomial_power(-R, order) * power.scale(Fraction(1, factorial(k)))
 
 
 def cauchy_first_egf(order: int) -> Series:
     """EGF of the first Cauchy polynomials: (1+q*t)^(-r/q) * sum_k L^k/(k+1)!."""
     L = log1p_qt_over_q(order)
-    minus_r = BiPoly({(0, 1): -1})
-    return binomial_power(minus_r, order) * expm1_div(L)
+    return binomial_power(-R, order) * expm1_div(L)
 
 
 def cauchy_second_egf(order: int) -> Series:
     """EGF of the second Cauchy polynomials: (1+q*t)^(r/q) * (exp(-L)-1)/(-L)."""
     L = log1p_qt_over_q(order)
-    r = BiPoly({(0, 1): 1})
-    return binomial_power(r, order) * expm1_div(L.scale(-1))
+    return binomial_power(R, order) * expm1_div(L.scale(-1))
 
 
 def egf_term(s: Series, n: int) -> BiPoly:

@@ -24,11 +24,10 @@ each entry to lowest terms as its row is read out.  Only primes of D can
 cancel, and the step is linear with integer multipliers, so the same step
 over ints mod D^J (a residue row, about one machine word per entry) gives
 gcd(u, D^J); an entry goes back to its full Decimal value only when some
-prime of D divides it to its full power in D^J.  ``value_rows`` gives the
-same pairs as ints.  ``row_poly`` reassembles sum_k w(n, k) x^k as an XPoly
-so callers can check it against the defining product, and
-``whitney_first_cheon`` computes a single first-kind entry from the closed
-double-sum form
+prime of D divides it to its full power in D^J.  ``row_poly`` reassembles
+sum_k w(n, k) x^k as an XPoly so callers can check it against the defining
+product, and ``whitney_first_cheon`` computes a single first-kind entry
+from the closed double-sum form
 
     w(n, k) = sum_{i} C(n, i) * (-1)^(n-i) * q^(i-k) * [r|q]_(n-i) * s(i, k)
 
@@ -56,11 +55,11 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator
 
 from .arith import binomial
-from .poly import ONE, Q, R, ZERO, BiPoly, XPoly, as_rational
+from .poly import ONE, Q, R, ZERO, BiPoly, XPoly, common_denominator
 
 
 class TriangleKind(enum.Enum):
@@ -105,11 +104,8 @@ class Triangle:
         return self._r0
 
     def entry(self, n: int, k: int) -> BiPoly:
-        if not 0 <= n <= self._n_max:
-            raise ValueError(f"row {n} out of range 0..{self._n_max}")
-        if 0 <= k <= n:
-            return self._rows[n][k]
-        return ZERO
+        row = self.row(n)
+        return row[k] if 0 <= k <= n else ZERO
 
     def row(self, n: int) -> tuple[BiPoly, ...]:
         if not 0 <= n <= self._n_max:
@@ -200,10 +196,7 @@ def _scaled_point(
         raise ValueError("numeric rows exist for the w and W kinds only")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    q0 = as_rational(q0)
-    r0 = as_rational(r0)
-    d = lcm(q0.denominator, r0.denominator)
-    return d, q0.numerator * (d // q0.denominator), r0.numerator * (d // r0.denominator)
+    return common_denominator(q0, r0)
 
 
 def _powers(one, d, n: int) -> list:
@@ -320,17 +313,6 @@ def _reduced_rows(
                 for u, res, m, j in zip(row, next(residues), ms, js)
             ]
         yield reduced
-
-
-def value_rows(
-    kind: TriangleKind, n_max: int, q0: Fraction | int, r0: Fraction | int
-) -> Iterator[list[tuple[int, int]]]:
-    """Rows of w or W at (q0, r0), one at a time, as (num, den) pairs.
-
-    Each pair is in lowest terms with den > 0, as in ``Fraction``: the
-    pairs of ``decimal_rows`` as ints.
-    """
-    return ([(int(a), int(b)) for a, b in row] for row in decimal_rows(kind, n_max, q0, r0))
 
 
 def _fraction_rows(kind: TriangleKind, n_max: int, q0, r0) -> list[list[Fraction]]:

@@ -32,7 +32,7 @@ from qwhitney.cauchy import (
     inversion_counterexample,
     shift_counterexample,
 )
-from qwhitney.triangles import TriangleKind, scaled_rows, value_rows
+from qwhitney.triangles import TriangleKind, decimal_rows, scaled_rows
 
 from _golden import FIRST_KIND, SECOND_KIND, classical_cauchy_oracle
 from _points import eval_points
@@ -213,7 +213,7 @@ class TestRationalInputs:
         "cheon_counterexample": lambda x: cheon_counterexample(1, x),
         "scaled_rows q0": lambda x: _listed(scaled_rows(TriangleKind.WHITNEY_FIRST, 2, x, 0)),
         "scaled_rows r0": lambda x: _listed(scaled_rows(TriangleKind.WHITNEY_SECOND, 2, 1, x)),
-        "value_rows": lambda x: list(value_rows(TriangleKind.WHITNEY_FIRST, 2, 1, x)),
+        "decimal_rows": lambda x: list(decimal_rows(TriangleKind.WHITNEY_FIRST, 2, 1, x)),
         "whitney_first_values": lambda x: whitney_first_values(2, x, 0),
         "whitney_second_values": lambda x: whitney_second_values(2, 1, x),
         "cauchy_value first": lambda x: cauchy_value(CauchyKind.FIRST, 2, x, 0),

@@ -115,6 +115,14 @@ class TestFormats:
         assert code == 0
         assert out == "-1/6\n"
 
+    def test_cauchy_eval_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "cauchy", "--kind", "second", "--n", "3", "--eval", "q=1/3,r=2/7", "--format", "csv",
+        )
+        assert code == 0
+        assert out == "n,value\n3,-989/4116\n"
+
     def test_cauchy_eval_json(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,9 +1,9 @@
 """Drive the command line with argv lists built from its own vocabulary.
 
 Every argv must end in a documented exit code (0, 1 or 2) without an
-uncaught exception.  Sizes stay at 3 or below, so each run is quick; sizes
-and evaluation points near each limit run with the commands stubbed out,
-so no work starts.
+uncaught exception.  Sizes stay at 3 or below, so each run is quick; sizes,
+evaluation points and --r0 values near each limit run with the commands
+stubbed out, so no work starts.
 """
 
 import contextlib
@@ -11,7 +11,7 @@ import io
 from itertools import chain
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwhitney import cli
@@ -154,5 +154,52 @@ def test_eval_points_beyond_the_digit_limit_exit_2_before_any_work(prefix, size,
     else:
         assert (code, started) == (2, [])
         want = (f"error: {option} {size} times the {digits} digits of the --eval point"
+                f" is above the limit {MAX_EVAL_DIGITS}")
+        assert want in err.getvalue()
+
+
+# --r0 values with exactly the given number of digits.
+R0_OF_DIGITS = (lambda d: "9" * d, lambda d: f"1{'0' * (d - 1)}")
+
+# A size for --kind sr, alone or with an --eval point whose digits differ
+# from those of --r0 by the given offset (at least one digit).
+SR_CASES = st.one_of(
+    st.tuples(st.integers(3, MAX_SYMBOLIC_SIZE), st.none()),
+    st.tuples(
+        st.integers(3, MAX_EVAL_SIZE),
+        st.tuples(st.sampled_from(EVAL_POINTS_OF_DIGITS), st.integers(-2, 2)),
+    ),
+)
+
+
+# The sr kind is computed at q = 1, r = --r0, so the digits of --r0 count
+# toward the digit limit, with or without --eval; the longer of --r0 and
+# the --eval point is the one reported.
+@settings(deadline=None, max_examples=200)
+@given(SR_CASES, st.integers(-3, 3), st.sampled_from(R0_OF_DIGITS))
+@example((20, None), 0, R0_OF_DIGITS[0])  # 1000 digits at --n-max 20
+@example((20, (EVAL_POINTS_OF_DIGITS[3], 0)), 0, R0_OF_DIGITS[0])  # --eval q=3,r=<same digits>
+@example((20, None), -1, R0_OF_DIGITS[1])  # 10^498 at --n-max 20, within the limit
+def test_r0_beyond_the_digit_limit_exits_2_before_any_work(case, offset, r0):
+    size, with_eval = case
+    digits = MAX_EVAL_DIGITS // size + offset
+    argv = ["triangle", "--kind", "sr", "--n-max", str(size), "--r0", r0(digits)]
+    counted, source = digits, "--r0"
+    if with_eval is not None:
+        point, shift = with_eval
+        point_digits = max(1, digits + shift)
+        argv += ["--eval", point(point_digits)]
+        if point_digits >= digits:
+            counted, source = point_digits, "the --eval point"
+    started = []
+    stubs = {name: lambda args: started.append(args) or 0 for name in COMMAND_NAMES}
+    err = io.StringIO()
+    with mock.patch.multiple(cli, **stubs), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if size * counted <= MAX_EVAL_DIGITS:
+        assert (code, len(started)) == (0, 1)
+    else:
+        assert (code, started) == (2, [])
+        want = (f"error: --n-max {size} times the {counted} digits of {source}"
                 f" is above the limit {MAX_EVAL_DIGITS}")
         assert want in err.getvalue()

@@ -167,6 +167,17 @@ def test_corrupted_triangle_fails_the_identity_checks(capsys, corrupted_first_ki
     assert err.startswith(f"counterexample: {first_failure}")
 
 
+@pytest.mark.parametrize("n_max, failures", [(6, 20), (8, 30)])
+def test_verify_reports_at_most_20_counterexamples(capsys, corrupted_first_kind, n_max, failures):
+    code, out, err = run_cli(capsys, "verify", "--suite", "shift", "--n-max", str(n_max))
+    assert code == 1
+    assert out.startswith(f"suite shift: FAIL ({failures} of ")
+    lines = err.splitlines()
+    assert [line.startswith("counterexample: ") for line in lines[:20]] == [True] * 20
+    tail = [f"... and {failures - 20} more counterexamples"] if failures > 20 else []
+    assert lines[20:] == tail
+
+
 def test_corrupted_stirling_rows_fail_the_stirling_routes(monkeypatch):
     real = triangles_mod.stirling_first_row
 
