@@ -35,7 +35,6 @@ from .suites import DEFAULT_SHIFTS, SuiteResult, run_suite, suite_names
 from .triangles import (
     Triangle,
     TriangleKind,
-    falling_factorial,
     falling_factorial_x,
     r_stirling_first,
     rising_factorial,
@@ -78,7 +77,6 @@ __all__ = [
     "cauchy_second_integral",
     "egf_term",
     "expm1_div",
-    "falling_factorial",
     "falling_factorial_x",
     "log1p_qt_over_q",
     "q_cauchy_number",

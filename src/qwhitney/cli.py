@@ -134,6 +134,11 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _json_entries(header: dict, entries: str) -> str:
+    """The header object with an "entries" member holding JSON text that is already written."""
+    return f'{_json_dump(header)[:-1]},"entries":{entries}}}'
+
+
 def _rat_json(x: Fraction) -> dict[str, int]:
     return {"num": x.numerator, "den": x.denominator}
 
@@ -201,7 +206,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     else:
         tri = triangle(TriangleKind(kind), n_max, r0 if kind == "sr" else None)
         if fmt == "json":
-            rows = (_json_dump([p.to_records() for p in tri.row(n)]) for n in range(n_max + 1))
+            rows = ("[" + ",".join([p.to_json() for p in tri.row(n)]) + "]" for n in range(n_max + 1))
         else:
             cell = "{},{},{}\n" if fmt == "csv" else "n={} k={}: {}\n"
             rows = (
@@ -248,7 +253,7 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
 
     poly = cauchy_poly(kind, args.n)
     if fmt == "json":
-        print(_json_dump({"kind": args.kind, "n": args.n, "entries": poly.to_records()}))
+        print(_json_entries({"kind": args.kind, "n": args.n}, poly.to_json()))
     elif fmt == "csv":
         print("n,value")
         print(f"{args.n},{poly.to_text()}")
@@ -272,12 +277,8 @@ def _cmd_egf(args: argparse.Namespace) -> int:
     fmt = args.format
 
     if fmt == "json":
-        payload = {
-            "kind": kind_str,
-            "order": order,
-            "entries": [s.coeff(n).to_records() for n in range(order + 1)],
-        }
-        print(_json_dump(payload))
+        entries = ",".join([s.coeff(n).to_json() for n in range(order + 1)])
+        print(_json_entries({"kind": kind_str, "order": order}, f"[{entries}]"))
     elif fmt == "csv":
         print("n,value")
         for n in range(order + 1):

@@ -29,12 +29,24 @@ descending total degree, then descending r-degree, then descending
 q-degree.  The human-readable renderings group terms by powers of r, which
 is how these polynomials are conventionally written ("r^2 + (q - 1)*r -
 (1/2)*q + 1/3").
+
+Output is written in one pass over the terms.  ``to_text`` and ``to_latex``
+sort the exponent pairs once, by (dr, dq) descending, which is the order
+they print in, and walk the runs of equal dr in that list.  Each coefficient
+is reduced against ``den`` with one gcd (none when ``den`` is 1), the
+variable parts come from a cache keyed by exponent pair, and the sign and
+body strings of all terms are joined once.  ``to_json`` writes the record
+array that ``to_records`` returns as compact JSON, one f-string per term,
+with the bytes ``json.dumps(p.to_records(), separators=(",", ":"))`` gives;
+the command line writes its JSON output with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .arith import binomial
@@ -126,14 +138,16 @@ class BiPoly:
 
     def sorted_terms(self) -> list[tuple[Key, Fraction]]:
         """Terms in canonical order (total degree, then dr, then dq, all descending)."""
-        den = self._den
-        return [(key, Fraction(c, den)) for key, c in sorted(self._terms.items(), key=_canonical_order)]
+        return [((dq, dr), Fraction(num, den)) for dq, dr, num, den in self._records()]
 
-    def _sorted_values(self) -> list[tuple[Key, int | Fraction]]:
-        """``sorted_terms``, with plain ints when den = 1: they render alike and build no Fraction."""
-        if self._den != 1:
-            return self.sorted_terms()
-        return sorted(self._terms.items(), key=_canonical_order)
+    def _records(self) -> list[tuple[int, int, int, int]]:
+        """(dq, dr, num, den) per term in canonical order, num/den in lowest terms."""
+        terms, den = self._terms, self._den
+        # The total degree and dr fix dq, so they order the keys.
+        keys = sorted(terms, key=lambda k: (k[0] + k[1], k[1]), reverse=True)
+        if den == 1:
+            return [(dq, dr, terms[dq, dr], 1) for dq, dr in keys]
+        return [(dq, dr, (c := terms[dq, dr]) // (g := gcd(c, den)), den // g) for dq, dr in keys]
 
     # -- ring operations ----------------------------------------------------
 
@@ -217,9 +231,9 @@ class BiPoly:
         for key, c in self._terms.items():
             d = key[var]
             c *= e ** (top - d)
-            # (A*var + B)^d expanded by the binomial theorem; for A = 0 only
-            # the i = 0 term survives
-            for i in range(d + 1 if big_a else 1):
+            # (A*var + B)^d expanded by the binomial theorem; only the i = 0
+            # term survives when A = 0, and only the i = d term when B = 0
+            for i in range(0 if big_b else d, d + 1 if big_a else 1):
                 key_i = (key[0], i) if var else (i, key[1])
                 out[key_i] = out.get(key_i, 0) + c * binomial(d, i) * big_a**i * big_b ** (d - i)
         return BiPoly._of(out, self._den * e**top)
@@ -232,10 +246,14 @@ class BiPoly:
 
     def to_records(self) -> list[dict[str, int]]:
         """Canonically ordered list of {dq, dr, num, den} records."""
-        return [
-            {"dq": dq, "dr": dr, "num": c.numerator, "den": c.denominator}
-            for (dq, dr), c in self._sorted_values()
-        ]
+        return [{"dq": dq, "dr": dr, "num": num, "den": den} for dq, dr, num, den in self._records()]
+
+    def to_json(self) -> str:
+        """The records as compact JSON, ``json.dumps(self.to_records(), separators=(",", ":"))``,
+        written as one f-string per term."""
+        return "[" + ",".join(
+            [f'{{"dq":{dq},"dr":{dr},"num":{num},"den":{den}}}' for dq, dr, num, den in self._records()]
+        ) + "]"
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping[str, int]]) -> BiPoly:
@@ -260,11 +278,6 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()!r})"
-
-
-def _canonical_order(item: tuple[Key, int]) -> tuple[int, int, int]:
-    (dq, dr), _ = item
-    return (-(dq + dr), -dr, -dq)
 
 
 def _nonzero(terms: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:
@@ -294,83 +307,65 @@ R = BiPoly({(0, 1): 1})
 # e.g. "-r^3 - (3*q - 3/2)*r^2 - ...".
 
 
-def _frac_atom(c: Fraction | int, latex: bool, standalone: bool) -> str:
-    """Positive rational as a rendering atom.
+class _VarParts(dict):
+    """Variable parts such as "q^3*r^2" (text) or "q^{10}r^9" (LaTeX), by
+    exponent pair, made on first use.  One string per pair rendered: the
+    command line's size limits bound the exponents, and so the cache."""
 
-    ``standalone`` means the value is a term of its own; otherwise it
-    multiplies a variable part and non-integers get grouped: "(1/2)*q".
-    """
-    if c.denominator == 1:
-        return str(c.numerator)
-    if latex:
-        return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
-    if standalone:
-        return f"{c.numerator}/{c.denominator}"
-    return f"({c.numerator}/{c.denominator})"
+    def __init__(self, latex: bool):
+        super().__init__()
+        self.latex = latex
 
-
-def _var_part(dq: int, dr: int, latex: bool) -> str:
-    # LaTeX sets only the first character after ^ as the exponent, so an
-    # exponent of two or more digits is braced there.
-    parts = []
-    if dq == 1:
-        parts.append("q")
-    elif dq > 1:
-        parts.append(f"q^{{{dq}}}" if latex and dq > 9 else f"q^{dq}")
-    if dr == 1:
-        parts.append("r")
-    elif dr > 1:
-        parts.append(f"r^{{{dr}}}" if latex and dr > 9 else f"r^{dr}")
-    return ("" if latex else "*").join(parts)
+    def __missing__(self, key: Key) -> str:
+        dq, dr = key
+        # LaTeX sets only the first character after ^ as the exponent, so an
+        # exponent of two or more digits is braced there.
+        q = "" if not dq else "q" if dq == 1 else f"q^{{{dq}}}" if self.latex and dq > 9 else f"q^{dq}"
+        r = "" if not dr else "r" if dr == 1 else f"r^{{{dr}}}" if self.latex and dr > 9 else f"r^{dr}"
+        part = self[key] = q + r if self.latex or not (q and r) else f"{q}*{r}"
+        return part
 
 
-def _monomial(c: Fraction | int, dq: int, dr: int, latex: bool) -> str:
-    """Unsigned monomial body for a positive coefficient c."""
-    variables = _var_part(dq, dr, latex)
-    if not variables:
-        return _frac_atom(c, latex, standalone=True)
-    if c == 1:
-        return variables
-    sep = "" if latex else "*"
-    return f"{_frac_atom(c, latex, standalone=False)}{sep}{variables}"
-
-
-def _join_signed(chunks: list[tuple[int, str]]) -> str:
-    out: list[str] = []
-    for i, (sign, body) in enumerate(chunks):
-        if i == 0:
-            out.append(f"-{body}" if sign < 0 else body)
-        else:
-            out.append(f" - {body}" if sign < 0 else f" + {body}")
-    return "".join(out)
+_TEXT_VARS = _VarParts(latex=False)
+_LATEX_VARS = _VarParts(latex=True)
 
 
 def _render(p: BiPoly, latex: bool) -> str:
-    terms = p._sorted_values()
+    terms, den = p._terms, p._den
     if not terms:
         return "0"
-    by_dr: dict[int, list[tuple[int, Fraction | int]]] = {}
-    for (dq, dr), c in terms:
-        by_dr.setdefault(dr, []).append((dq, c))
-    chunks: list[tuple[int, str]] = []
-    for dr in sorted(by_dr, reverse=True):
-        group = sorted(by_dr[dr], key=lambda t: -t[0])
-        if dr == 0:
-            for dq, c in group:
-                sign = -1 if c < 0 else 1
-                chunks.append((sign, _monomial(abs(c), dq, 0, latex)))
-        elif len(group) == 1:
-            dq, c = group[0]
-            sign = -1 if c < 0 else 1
-            chunks.append((sign, _monomial(abs(c), dq, dr, latex)))
-        else:
-            lead_sign = -1 if group[0][1] < 0 else 1
-            inner = _join_signed(
-                [(-1 if c * lead_sign < 0 else 1, _monomial(abs(c), dq, 0, latex)) for dq, c in group]
-            )
-            sep = "" if latex else "*"
-            chunks.append((lead_sign, f"({inner}){sep}{_var_part(0, dr, latex)}"))
-    return _join_signed(chunks)
+    var_parts = _LATEX_VARS if latex else _TEXT_VARS
+    mul = "" if latex else "*"
+    # Each term adds a sign (" + " or " - ") and a body to out, and the
+    # leading sign is rewritten once at the end.  An r-power with two or more
+    # terms collects its signed bodies, relative to its first sign, in a list
+    # of its own, and adds them to out as one parenthesized body.
+    out: list[str] = []
+    for dr, group in groupby(sorted(terms, key=itemgetter(1, 0), reverse=True), itemgetter(1)):
+        group = list(group)
+        nested = dr > 0 and len(group) > 1
+        pieces, flip = ([], terms[group[0]] < 0) if nested else (out, False)
+        for key in group:
+            c = terms[key]
+            pieces.append(" - " if (c < 0) != flip else " + ")
+            v = var_parts[(key[0], 0) if nested else key]
+            if den == 1:
+                a, d = abs(c), 1
+            else:
+                g = gcd(c, den)
+                a, d = abs(c) // g, den // g
+            if d == 1:
+                pieces.append(f"{a}{mul}{v}" if a != 1 and v else v or f"{a}")
+            elif latex:
+                pieces.append(f"\\frac{{{a}}}{{{d}}}{v}")
+            else:
+                pieces.append(f"({a}/{d})*{v}" if v else f"{a}/{d}")
+        if nested:
+            pieces[0] = ""
+            out.append(" - " if flip else " + ")
+            out.append(f"({''.join(pieces)}){mul}{var_parts[0, dr]}")
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 # -- univariate carrier for the integral oracles ------------------------------

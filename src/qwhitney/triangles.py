@@ -358,11 +358,6 @@ def shift_sum(n: int, rise: list[BiPoly], terms) -> BiPoly:
     return sum((rise[n - j] * (v * (binomial(n, j) * (-1) ** (n - j))) for j, v in terms), ZERO)
 
 
-def falling_factorial(m: int, y: BiPoly = R, step: BiPoly = Q) -> BiPoly:
-    """(y|step)_m = y * (y - step) * ... * (y - (m-1)*step); defaults to (r|q)_m."""
-    return rising_factorial(m, y, -step)
-
-
 def falling_factorial_x(m: int) -> XPoly:
     """(x - r | q)_m = (x - r) * (x - r - q) * ... * (x - r - (m-1)q)."""
     if m < 0:

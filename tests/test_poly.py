@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from _reference_render import reference_render
 from qwhitney import ONE, Q, R, ZERO, BiPoly, XPoly
 
 coefficients = st.fractions(
@@ -194,6 +195,11 @@ def _ref_subst(a, var, s, t):
     return _ref_clean(out)
 
 
+def _ref_scale_by_power(a, var, s):
+    """The variable at key position var replaced by s*var: each term times s^d, d its power."""
+    return _ref_clean({key: c * s ** key[var] for key, c in a.items()})
+
+
 def _ref_eval(a, q0, r0):
     return sum((c * q0**dq * r0**dr for (dq, dr), c in a.items()), F(0))
 
@@ -244,6 +250,14 @@ class TestAgainstFractionReference:
         for dr in range(6):
             assert_matches(p.r_coefficient(dr), {(dq, 0): c for (dq, d), c in a.items() if d == dr})
         assert p.to_records() == _ref_records(a)
+
+    @given(term_maps, points)
+    @example({(2, 3): F(1, 2), (1, 0): F(-3), (0, 0): F(5)}, F(-1))  # r -> -r, as cauchy_second takes it
+    @example({(2, 3): F(1, 2), (0, 0): F(5)}, F(0))  # only the constant term survives
+    def test_substituting_a_multiple(self, ta, s):
+        a = _ref_clean(ta)
+        assert_matches(BiPoly(ta).subst_q(s, 0), _ref_scale_by_power(a, 0, s))
+        assert_matches(BiPoly(ta).subst_r(s, 0), _ref_scale_by_power(a, 1, s))
 
 
 class TestHash:
@@ -329,6 +343,39 @@ class TestRendering:
         reordered = BiPoly.from_records(list(reversed(p.to_records())))
         assert reordered.to_text() == p.to_text()
         assert reordered.to_latex() == p.to_latex()
+
+
+# Polynomials for the renderer: exponents up to 12, so that LaTeX braces
+# some of them; several q-powers per r-power, with leading coefficients of
+# either sign; integer numerators over a shared denominator, some of them
+# large, or coefficients with their own denominators.
+_render_numerators = st.one_of(st.integers(-40, 40), st.integers(-(10**30), 10**30))
+render_polys = st.one_of(
+    st.builds(
+        lambda groups, den: BiPoly(
+            {(dq, dr): F(n, den) for dr, row in groups.items() for dq, n in row.items()}
+        ),
+        st.dictionaries(
+            st.integers(0, 12), st.dictionaries(st.integers(0, 12), _render_numerators, max_size=4), max_size=4
+        ),
+        st.sampled_from([1, 1, 2, 6, 12]),
+    ),
+    st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)), coefficients, max_size=8).map(BiPoly),
+)
+
+
+class TestAgainstReferenceRenderer:
+    """to_text and to_latex print what the renderer they replaced printed, and
+    to_json what json.dumps prints of the records."""
+
+    @given(render_polys)
+    @example(BiPoly({(0, 11): -1, (1, 10): -55, (0, 10): F(11, 2), (12, 0): 2}))
+    @example(BiPoly({(3, 2): F(-1, 6), (0, 2): F(5, 2), (1, 2): 1, (0, 0): F(-7, 3), (10, 1): F(1, 6)}))
+    @example(BiPoly({(0, 0): F(-1, 2)}))
+    def test_renderings(self, p):
+        assert p.to_text() == reference_render(p, latex=False)
+        assert p.to_latex() == reference_render(p, latex=True)
+        assert p.to_json() == json.dumps(p.to_records(), separators=(",", ":"))
 
 
 class TestXPoly:

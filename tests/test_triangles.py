@@ -16,7 +16,6 @@ from qwhitney import (
     Triangle,
     TriangleKind,
     XPoly,
-    falling_factorial,
     falling_factorial_x,
     r_stirling_first,
     rising_factorial,
@@ -180,7 +179,7 @@ class TestRStirling:
 class TestFactorialProducts:
     def test_empty_products(self):
         assert rising_factorial(0) == ONE
-        assert falling_factorial(0) == ONE
+        assert rising_factorial(0, step=-Q) == ONE
         assert falling_factorial_x(0) == XPoly.one()
 
     def test_rising_examples(self):
@@ -190,12 +189,15 @@ class TestFactorialProducts:
         )
 
     def test_falling_examples(self):
-        assert falling_factorial(2) == R * R - Q * R
-        assert falling_factorial(3, y=Q, step=R) == Q * (Q - R) * (Q - R.scale(2))
+        assert rising_factorial(2, step=-Q) == R * R - Q * R
+        assert rising_factorial(3, y=Q, step=-R) == Q * (Q - R) * (Q - R.scale(2))
 
     def test_falling_is_rising_with_negated_step(self):
         for m in range(5):
-            assert falling_factorial(m) == rising_factorial(m, step=-Q)
+            falling = ONE
+            for j in range(m):
+                falling = falling * (R - Q.scale(j))
+            assert rising_factorial(m, step=-Q) == falling
 
     def test_rising_list_matches_each_product(self):
         q0, r0 = F(3, 7), F(-5, 2)
