@@ -61,7 +61,8 @@ from functools import cached_property
 from math import lcm
 
 from . import triangles
-from .poly import ONE, Q, R, ZERO, BiPoly, XPoly, as_rational
+from .poly import ONE, Q, R, ZERO, BiPoly, as_rational
+from .series import Series
 from .triangles import Triangle, TriangleKind, rising_factorials, shift_sum, stirling_first_row
 
 
@@ -112,7 +113,7 @@ def cauchy_second_integral(n: int) -> BiPoly:
     """Oracle for chat_n(r): expand (-x + r | q)_n and integrate over [0, 1]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    acc = XPoly.one()
+    acc = Series.one(n)
     for j in range(n):
         acc = acc.mul_linear(-1, R - Q.scale(j))
     return acc.integrate01()

@@ -17,12 +17,9 @@ mathematical equality; every golden test in the suite relies on that.
 ``_nonzero`` enforces it, for given terms in the constructor and for every
 computed result in ``_of``.
 
-``XPoly`` is a univariate polynomial in an extra variable x whose
-coefficients are ``BiPoly`` values.  It exists to carry the defining
-integrals: products of linear factors in x are accumulated with
-``mul_linear`` and integrated exactly over [0, 1] with ``integrate01``
-(termwise antiderivative, coefficient 1/(k+1) for x^k — no numerical
-quadrature anywhere).
+Polynomials in one further variable with ``BiPoly`` coefficients, such as
+the defining products in x of the integral oracles, are ``series.Series``
+values of an order that truncates nothing.
 
 The canonical term order used for serialization and for the record form is
 descending total degree, then descending r-degree, then descending
@@ -367,86 +364,3 @@ def _render(p: BiPoly, latex: bool) -> str:
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 
-
-# -- univariate carrier for the integral oracles ------------------------------
-
-
-class XPoly:
-    """Polynomial in x with BiPoly coefficients; coeffs[k] multiplies x^k."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[BiPoly] = ()):  # trailing zeros stripped
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @classmethod
-    def one(cls) -> XPoly:
-        return cls((ONE,))
-
-    def degree(self) -> int:
-        """Degree in x, or -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    def coeff(self, k: int) -> BiPoly:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else ZERO
-
-    def coefficients(self) -> tuple[BiPoly, ...]:
-        return self._coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __add__(self, other: XPoly) -> XPoly:
-        n = max(len(self._coeffs), len(other._coeffs))
-        return XPoly(self.coeff(k) + other.coeff(k) for k in range(n))
-
-    def scale(self, c: BiPoly | Fraction | int) -> XPoly:
-        return XPoly(p * c for p in self._coeffs)
-
-    def mul_linear(self, sign: int, c: BiPoly) -> XPoly:
-        """Multiply by the linear factor (sign*x + c), sign in {+1, -1}."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        n = len(self._coeffs)
-        out = [ZERO] * (n + 1)
-        for k, p in enumerate(self._coeffs):
-            out[k + 1] = out[k + 1] + p.scale(sign)
-            out[k] = out[k] + p * c
-        return XPoly(out)
-
-    def subst_x(self, value: BiPoly) -> BiPoly:
-        """Evaluate at x = value (a polynomial in q, r), by Horner's rule."""
-        acc = ZERO
-        for p in reversed(self._coeffs):
-            acc = acc * value + p
-        return acc
-
-    def integrate01(self) -> BiPoly:
-        """Exact integral over [0, 1]: sum of coeffs[k] / (k + 1)."""
-        total = ZERO
-        for k, p in enumerate(self._coeffs):
-            total = total + p.scale(Fraction(1, k + 1))
-        return total
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k in reversed(range(len(self._coeffs))):
-            p = self._coeffs[k]
-            if p.is_zero():
-                continue
-            xpow = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            parts.append(f"({p}){f'*{xpow}' if xpow else ''}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"XPoly({self})"

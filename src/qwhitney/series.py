@@ -8,6 +8,13 @@ computed through the standard derivative recurrence
 
     b_0 = 1,   n * b_n = sum_{j=1..n} j * a_j * b_{n-j}   for f = exp(a).
 
+A polynomial of degree at most N is a ``Series`` of order N with nothing
+truncated, so the same type carries the defining integrals of the Cauchy
+polynomials and the rows of the first-kind triangle read as polynomials in
+x: ``mul_linear`` multiplies by a linear factor, ``integrate01`` integrates
+exactly over [0, 1] (termwise, coefficient 1/(k+1) for t^k; no numerical
+quadrature anywhere), and ``subst_t`` evaluates by Horner's rule.
+
 On top of the generic type sit the generating functions used by the
 verification suites.  With L(t) = ln(1 + q*t) / q, whose coefficients are
 [t^n] L = (-1)^(n+1) * q^(n-1) / n for n >= 1:
@@ -73,10 +80,6 @@ class Series:
         self._check_order(other)
         return Series(self._order, tuple(a + b for a, b in zip(self._coeffs, other._coeffs)))
 
-    def __sub__(self, other: Series) -> Series:
-        self._check_order(other)
-        return Series(self._order, tuple(a - b for a, b in zip(self._coeffs, other._coeffs)))
-
     def __mul__(self, other: Series) -> Series:
         self._check_order(other)
         n = self._order
@@ -90,11 +93,36 @@ class Series:
                     out[i + j] = out[i + j] + a * b
         return Series(n, tuple(out))
 
-    def scale(self, c: Fraction | int) -> Series:
-        return Series(self._order, tuple(p.scale(c) for p in self._coeffs))
+    def scale(self, c: BiPoly | Fraction | int) -> Series:
+        return Series(self._order, tuple(p * c for p in self._coeffs))
 
-    def scale_poly(self, p: BiPoly) -> Series:
-        return Series(self._order, tuple(c * p for c in self._coeffs))
+    def mul_linear(self, sign: int, c: BiPoly) -> Series:
+        """Multiply by the linear factor (sign*t + c), sign in {+1, -1}, truncated at the order."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        n = self._order
+        out = [ZERO] * (n + 1)
+        for k, p in enumerate(self._coeffs):
+            if p.is_zero():
+                continue
+            if k < n:
+                out[k + 1] = out[k + 1] + p.scale(sign)
+            out[k] = out[k] + p * c
+        return Series(n, out)
+
+    def subst_t(self, value: BiPoly) -> BiPoly:
+        """The polynomial sum_k coeff(k) * t^k at t = value (in q, r), by Horner's rule."""
+        acc = ZERO
+        for p in reversed(self._coeffs):
+            acc = acc * value + p
+        return acc
+
+    def integrate01(self) -> BiPoly:
+        """Exact integral over [0, 1] of sum_k coeff(k) * t^k: the sum of coeff(k) / (k + 1)."""
+        total = ZERO
+        for k, p in enumerate(self._coeffs):
+            total = total + p.scale(Fraction(1, k + 1))
+        return total
 
     def exp(self) -> Series:
         """Formal exponential; requires zero constant term."""
@@ -128,7 +156,7 @@ def log1p_qt_over_q(order: int) -> Series:
 
 def binomial_power(a: BiPoly, order: int) -> Series:
     """(1 + q*t)^(a/q) = exp(a * L(t)), polynomial in q and r at every order."""
-    return log1p_qt_over_q(order).scale_poly(a).exp()
+    return log1p_qt_over_q(order).scale(a).exp()
 
 
 def expm1_div(s: Series) -> Series:

@@ -128,7 +128,7 @@ def _suite_orthogonality(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) ->
         row = w1.row_poly(n)
         for j in range(n):
             yield _check(
-                row.subst_x(R + Q.scale(j)).is_zero(),
+                row.subst_t(R + Q.scale(j)).is_zero(),
                 f"first-kind row root, n={n}, x=r+{j}q",
             )
         for k, w in enumerate(w1.row(n)):

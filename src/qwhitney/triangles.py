@@ -25,7 +25,7 @@ cancel, and the step is linear with integer multipliers, so the same step
 over ints mod D^J (a residue row, about one machine word per entry) gives
 gcd(u, D^J); an entry goes back to its full Decimal value only when some
 prime of D divides it to its full power in D^J.  ``row_poly`` reassembles
-sum_k w(n, k) x^k as an XPoly so callers can check it against the defining
+sum_k w(n, k) x^k as a ``Series`` of order n so callers can check it against the defining
 product, and ``whitney_first_cheon`` computes a single first-kind entry
 from the closed double-sum form
 
@@ -59,7 +59,8 @@ from math import gcd
 from typing import Iterator
 
 from .arith import binomial
-from .poly import ONE, Q, R, ZERO, BiPoly, XPoly, common_denominator
+from .poly import ONE, Q, R, ZERO, BiPoly, common_denominator
+from .series import Series
 
 
 class TriangleKind(enum.Enum):
@@ -112,9 +113,9 @@ class Triangle:
             raise ValueError(f"row {n} out of range 0..{self._n_max}")
         return self._rows[n]
 
-    def row_poly(self, n: int) -> XPoly:
-        """Row n as a polynomial in x: sum_k entry(n, k) * x^k."""
-        return XPoly(self.row(n))
+    def row_poly(self, n: int) -> Series:
+        """Row n as a polynomial in x of degree n: sum_k entry(n, k) * x^k."""
+        return Series(n, self.row(n))
 
 
 def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0) -> Iterator[list]:
@@ -358,11 +359,11 @@ def shift_sum(n: int, rise: list[BiPoly], terms) -> BiPoly:
     return sum((rise[n - j] * (v * (binomial(n, j) * (-1) ** (n - j))) for j, v in terms), ZERO)
 
 
-def falling_factorial_x(m: int) -> XPoly:
-    """(x - r | q)_m = (x - r) * (x - r - q) * ... * (x - r - (m-1)q)."""
+def falling_factorial_x(m: int) -> Series:
+    """(x - r | q)_m = (x - r) * (x - r - q) * ... * (x - r - (m-1)q), of order m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    acc = XPoly.one()
+    acc = Series.one(m)
     for j in range(m):
         acc = acc.mul_linear(1, -(R + Q.scale(j)))
     return acc

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qwhitney import binomial
+from qwhitney.arith import binomial
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50

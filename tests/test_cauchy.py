@@ -6,11 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qwhitney import (
-    ONE,
-    Q,
-    R,
-    BiPoly,
+from qwhitney.cauchy import (
     CauchyKind,
     cauchy_first,
     cauchy_first_integral,
@@ -19,20 +15,23 @@ from qwhitney import (
     cauchy_poly,
     cauchy_second,
     cauchy_second_integral,
-    q_cauchy_number,
-    run_suite,
-    whitney_first_values,
-    whitney_second,
-    whitney_second_values,
-)
-from qwhitney.cauchy import (
     cauchy_value,
     cheon_counterexample,
     classical_shift_counterexample,
     inversion_counterexample,
+    q_cauchy_number,
     shift_counterexample,
 )
-from qwhitney.triangles import TriangleKind, decimal_rows, scaled_rows
+from qwhitney.poly import ONE, Q, R, BiPoly
+from qwhitney.suites import run_suite
+from qwhitney.triangles import (
+    TriangleKind,
+    decimal_rows,
+    scaled_rows,
+    whitney_first_values,
+    whitney_second,
+    whitney_second_values,
+)
 
 from _golden import FIRST_KIND, SECOND_KIND, classical_cauchy_oracle
 from _points import eval_points

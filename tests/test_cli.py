@@ -6,22 +6,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from qwhitney import (
-    ONE,
-    BiPoly,
-    CauchyKind,
+from qwhitney.cauchy import CauchyKind, cauchy_first, cauchy_second, q_cauchy_number
+from qwhitney.cli import main
+from qwhitney.poly import ONE, BiPoly
+from qwhitney.series import whitney_column_egf
+from qwhitney.triangles import (
     Triangle,
     TriangleKind,
-    cauchy_first,
-    cauchy_second,
     falling_factorial_x,
-    q_cauchy_number,
-    whitney_column_egf,
     whitney_first,
     whitney_first_values,
     whitney_second_values,
 )
-from qwhitney.cli import main
 
 # Python 3.11 and later cap integer-string conversion; 3.10 has no cap.
 _set_digits = getattr(sys, "set_int_max_str_digits", None)

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _reference_render import reference_render
-from qwhitney import ONE, Q, R, ZERO, BiPoly, XPoly
+from qwhitney import ONE, Q, R, ZERO, BiPoly
 
 coefficients = st.fractions(
     min_value=F(-20), max_value=F(20), max_denominator=12
@@ -377,41 +377,3 @@ class TestAgainstReferenceRenderer:
         assert p.to_latex() == reference_render(p, latex=True)
         assert p.to_json() == json.dumps(p.to_records(), separators=(",", ":"))
 
-
-class TestXPoly:
-    def test_linear_factors(self):
-        one = XPoly.one()
-        assert one.mul_linear(1, -R) == XPoly((-R, ONE))
-        first_two = one.mul_linear(1, -R).mul_linear(1, -R - Q)
-        assert first_two == XPoly((R * R + Q * R, -(R.scale(2) + Q), ONE))
-        assert one.mul_linear(-1, R) == XPoly((R, -ONE))
-        with pytest.raises(ValueError):
-            one.mul_linear(2, R)
-
-    def test_integrate01(self):
-        p = XPoly((R * R + Q * R, -(R.scale(2) + Q), ONE))
-        expected = BiPoly(
-            {(0, 2): 1, (1, 1): 1, (0, 1): -1, (1, 0): F(-1, 2), (0, 0): F(1, 3)}
-        )
-        assert p.integrate01() == expected
-        assert XPoly.one().integrate01() == ONE
-        assert XPoly((ZERO, ONE)).integrate01() == BiPoly.const(F(1, 2))
-
-    def test_trailing_zeros_stripped(self):
-        assert XPoly((ONE, ZERO, ZERO)) == XPoly((ONE,))
-        assert XPoly((ZERO,)).degree() == -1
-        assert XPoly((ONE, R)).degree() == 1
-
-    def test_subst_x(self):
-        p = XPoly((ONE, R, Q))
-        value = R + Q
-        expected = ONE + R * value + Q * value * value
-        assert p.subst_x(value) == expected
-
-    @given(bipolys, bipolys, st.fractions(max_denominator=8, min_value=F(-9), max_value=F(9)))
-    def test_integration_is_linear(self, a, b, c):
-        p = XPoly((a, b))
-        s = XPoly((b, a, a))
-        left = (p.scale(c) + s).integrate01()
-        right = p.integrate01().scale(c) + s.integrate01()
-        assert left == right

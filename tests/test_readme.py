@@ -65,7 +65,7 @@ def _resolve(name: str) -> bool:
         return hasattr(importlib.import_module(module), attr)
     if hasattr(qwhitney, name):
         return True
-    return any(hasattr(getattr(qwhitney, cls), name) for cls in ("BiPoly", "XPoly", "Series", "Triangle"))
+    return any(hasattr(getattr(qwhitney, cls), name) for cls in ("BiPoly", "Series"))
 
 
 # Backticked identifiers, with or without an argument list; the single

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qwhitney import (
-    ONE,
-    Q,
-    R,
-    ZERO,
-    BiPoly,
+from qwhitney.poly import ONE, Q, R, ZERO, BiPoly
+from qwhitney.series import (
     Series,
     binomial_power,
     cauchy_first_egf,
@@ -64,6 +60,51 @@ class TestSeriesArithmetic:
         with pytest.raises(ValueError):
             Series.one(2).coeff(3)
 
+
+
+class TestPolynomials:
+    """A Series of order N as a polynomial of degree at most N, as the integral oracles use it."""
+
+    def test_linear_factors(self):
+        one = Series.one(2)
+        assert one.mul_linear(1, -R) == Series(2, (-R, ONE, ZERO))
+        first_two = one.mul_linear(1, -R).mul_linear(1, -R - Q)
+        assert first_two == Series(2, (R * R + Q * R, -(R.scale(2) + Q), ONE))
+        assert one.mul_linear(-1, R) == Series(2, (R, -ONE, ZERO))
+        with pytest.raises(ValueError):
+            one.mul_linear(2, R)
+
+    def test_mul_linear_drops_the_term_above_the_order(self):
+        first_two = Series.one(1).mul_linear(1, -R).mul_linear(1, -R - Q)
+        assert first_two == Series(1, (R * R + Q * R, -(R.scale(2) + Q)))
+        assert Series.one(0).mul_linear(-1, R) == Series(0, (R,))
+
+    def test_integrate01(self):
+        p = Series(2, (R * R + Q * R, -(R.scale(2) + Q), ONE))
+        expected = BiPoly(
+            {(0, 2): 1, (1, 1): 1, (0, 1): -1, (1, 0): F(-1, 2), (0, 0): F(1, 3)}
+        )
+        assert p.integrate01() == expected
+        assert Series.one(0).integrate01() == ONE
+        assert Series(1, (ZERO, ONE)).integrate01() == BiPoly.const(F(1, 2))
+
+    def test_subst_t(self):
+        p = Series(2, (ONE, R, Q))
+        value = R + Q
+        expected = ONE + R * value + Q * value * value
+        assert p.subst_t(value) == expected
+
+    @given(small_polys, small_polys, st.fractions(max_denominator=8, min_value=F(-9), max_value=F(9)))
+    def test_integration_is_linear(self, a, b, c):
+        p = Series(2, (a, b, ZERO))
+        s = Series(2, (b, a, a))
+        left = (p.scale(c) + s).integrate01()
+        right = p.integrate01().scale(c) + s.integrate01()
+        assert left == right
+
+    @given(st.lists(small_polys, min_size=4, max_size=4), small_polys)
+    def test_scale_by_a_bipoly_is_coefficientwise(self, coeffs, c):
+        assert Series(3, coeffs).scale(c) == Series(3, [p * c for p in coeffs])
 
 class TestExp:
     def test_exp_of_zero(self):

@@ -7,8 +7,10 @@ import pytest
 
 import qwhitney.cauchy as cauchy_mod
 import qwhitney.triangles as triangles_mod
-from qwhitney import ONE, SuiteResult, Triangle, TriangleKind, run_suite
 from qwhitney.cli import main
+from qwhitney.poly import ONE
+from qwhitney.suites import SuiteResult, run_suite
+from qwhitney.triangles import Triangle, TriangleKind
 
 # Check counts per suite, keyed by (n_max, number of shift values).  They
 # depend only on the sizes, not on the shift values themselves.

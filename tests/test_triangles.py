@@ -7,18 +7,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qwhitney import (
-    ONE,
-    Q,
-    R,
-    ZERO,
-    BiPoly,
+from qwhitney import triangles
+from qwhitney.poly import ONE, Q, R, ZERO, BiPoly
+from qwhitney.series import Series
+from qwhitney.triangles import (
     Triangle,
     TriangleKind,
-    XPoly,
+    decimal_rows,
     falling_factorial_x,
     r_stirling_first,
     rising_factorial,
+    rising_factorials,
+    scaled_rows,
     stirling_first,
     stirling_first_row,
     triangle,
@@ -28,8 +28,6 @@ from qwhitney import (
     whitney_second,
     whitney_second_values,
 )
-from qwhitney import triangles
-from qwhitney.triangles import decimal_rows, rising_factorials, scaled_rows
 
 from _points import eval_points, rationals
 
@@ -82,10 +80,12 @@ class TestWhitneySecond:
     def test_rows_reassemble_the_monomial(self):
         tri = whitney_second(8)
         for n in range(9):
-            total = XPoly(())
+            total = Series.zero(n)
             for k in range(n + 1):
-                total = total + falling_factorial_x(k).scale(tri.entry(n, k))
-            assert total == XPoly((ZERO,) * n + (ONE,))
+                product = falling_factorial_x(k)
+                padded = Series(n, [product.coeff(i) for i in range(k + 1)] + [ZERO] * (n - k))
+                total = total + padded.scale(tri.entry(n, k))
+            assert total == Series(n, (ZERO,) * n + (ONE,))
 
 
 class TestStirling:
@@ -180,7 +180,7 @@ class TestFactorialProducts:
     def test_empty_products(self):
         assert rising_factorial(0) == ONE
         assert rising_factorial(0, step=-Q) == ONE
-        assert falling_factorial_x(0) == XPoly.one()
+        assert falling_factorial_x(0) == Series.one(0)
 
     def test_rising_examples(self):
         assert rising_factorial(2) == R * R + Q * R
