@@ -14,7 +14,8 @@ standard output and counterexample diagnostics to the error stream.  Exit
 codes: 0 on success, 1 when a verification suite finds a failing identity,
 2 on usage errors, 130 on an interrupt, and 141 when the reader of
 standard output closes it early.  Sizes (--n-max, --n, --order) are
-bounded by MAX_SYMBOLIC_SIZE, or by MAX_EVAL_SIZE with --eval, and with
+bounded by MAX_SYMBOLIC_SIZE, by MAX_EVAL_SIZE with --eval, or by
+MAX_VERIFY_SIZE for verify, and with
 --eval (or --kind sr) the size times the digits of the point (or of
 --r0) by MAX_EVAL_DIGITS; a larger one is a usage error, reported before
 any work starts.
@@ -52,6 +53,10 @@ _EXIT_INTERRUPTED = 130
 # two rows of n + 1 integers are held at a time.
 MAX_SYMBOLIC_SIZE = 200
 MAX_EVAL_SIZE = 2000
+
+# Largest --n-max of verify: the symbolic suites grow like n^4, and verify
+# --suite all ends in about 43 s at n = 48 and 65 s at n = 52 (README).
+MAX_VERIFY_SIZE = 48
 
 # Largest size times digits of an --eval point q = A/D, r = C/D over the
 # least common denominator D, counted in the largest of |A|, |C| and D.
@@ -155,7 +160,7 @@ def _size(args: argparse.Namespace) -> tuple[str, int, int]:
     if args.command == "egf":
         return "--order", args.order, MAX_SYMBOLIC_SIZE
     if args.command == "verify":
-        return "--n-max", args.n_max, MAX_SYMBOLIC_SIZE
+        return "--n-max", args.n_max, MAX_VERIFY_SIZE
     limit = MAX_SYMBOLIC_SIZE if args.eval is None else MAX_EVAL_SIZE
     if args.command == "cauchy":
         return "--n", args.n, limit

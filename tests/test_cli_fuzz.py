@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwhitney import cli
-from qwhitney.cli import MAX_EVAL_DIGITS, MAX_EVAL_SIZE, MAX_SYMBOLIC_SIZE, main
+from qwhitney.cli import MAX_EVAL_DIGITS, MAX_EVAL_SIZE, MAX_SYMBOLIC_SIZE, MAX_VERIFY_SIZE, main
 
 SIZES = ("0", "1", "2", "3")
 FORMATS = ("text", "json", "csv", "latex")
@@ -87,7 +87,7 @@ LIMITS = (
     (("cauchy", "--kind", "first"), "--n", MAX_SYMBOLIC_SIZE),
     (("cauchy", "--kind", "second", "--eval", "q=-1,r=0"), "--n", MAX_EVAL_SIZE),
     (("egf", "--which", "w:2"), "--order", MAX_SYMBOLIC_SIZE),
-    (("verify", "--suite", "all"), "--n-max", MAX_SYMBOLIC_SIZE),
+    (("verify", "--suite", "all"), "--n-max", MAX_VERIFY_SIZE),
 )
 COMMAND_NAMES = ("_cmd_triangle", "_cmd_cauchy", "_cmd_egf", "_cmd_verify")
 

@@ -79,7 +79,7 @@ CLI_CONSTANTS = sorted(set(re.findall(r"`(MAX_\w+)`", TEXT)))
 
 def test_the_readme_names_the_api():
     assert {"BiPoly", "qwhitney.triangles.decimal_rows", "eval_at", "integrate01"} <= set(API_NAMES)
-    assert CLI_CONSTANTS == ["MAX_EVAL_DIGITS", "MAX_EVAL_SIZE", "MAX_SYMBOLIC_SIZE"]
+    assert CLI_CONSTANTS == ["MAX_EVAL_DIGITS", "MAX_EVAL_SIZE", "MAX_SYMBOLIC_SIZE", "MAX_VERIFY_SIZE"]
 
 
 @pytest.mark.parametrize("name", API_NAMES)
