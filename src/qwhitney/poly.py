@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .arith import binomial
 
