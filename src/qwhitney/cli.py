@@ -48,9 +48,9 @@ _EXIT_INTERRUPTED = 130
 
 
 # Largest size a command accepts.  A symbolic result of size n (a triangle,
-# the triangle behind a Cauchy polynomial, an EGF to order n, the triangles
-# of a verify run) holds about n^3/6 coefficients at once; with --eval only
-# two rows of n + 1 integers are held at a time.
+# the triangle behind a Cauchy polynomial, an EGF to order n) holds about
+# n^3/6 coefficients at once; with --eval only two rows of n + 1 integers
+# are held at a time.
 MAX_SYMBOLIC_SIZE = 200
 MAX_EVAL_SIZE = 2000
 
