@@ -72,11 +72,18 @@ class CauchyKind(enum.Enum):
 
 
 def _row_sum(row: tuple[BiPoly, ...], alternating: bool) -> BiPoly:
-    """sum_k w(n, k) / (k + 1) over row n, with sign (-1)^k on each term if alternating."""
-    total = ZERO
+    """sum_k w(n, k) / (k + 1) over row n, with sign (-1)^k on each term if alternating,
+    in one numerator map over one denominator (lcm(1..n+1) for a triangle row), normalized
+    once.  It shares no code with ``Series.integrate01``, the oracle side."""
+    den = lcm(*((k + 1) * w_nk._den for k, w_nk in enumerate(row)))
+    out: dict[tuple[int, int], int] = {}
     for k, w_nk in enumerate(row):
-        total = total + w_nk.scale(Fraction(-1 if alternating and k % 2 else 1, k + 1))
-    return total
+        lift = den // ((k + 1) * w_nk._den)
+        if alternating and k % 2:
+            lift = -lift
+        for key, c in w_nk._terms.items():
+            out[key] = out.get(key, 0) + c * lift
+    return BiPoly._of(out, den)
 
 
 def cauchy_first(n: int) -> BiPoly:
@@ -172,15 +179,9 @@ def q_cauchy_number(kind: CauchyKind, n: int) -> BiPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = ZERO
-    for k, s_nk in enumerate(stirling_first_row(n)):
-        if not s_nk:
-            continue
-        c = Fraction(s_nk, k + 1)
-        if kind is CauchyKind.SECOND and k % 2 == 1:
-            c = -c
-        total = total + BiPoly({(n - k, 0): c})
-    return total
+    sign = -1 if kind is CauchyKind.SECOND else 1
+    row = stirling_first_row(n)
+    return BiPoly({(n - k, 0): Fraction(s_nk * sign**k, k + 1) for k, s_nk in enumerate(row)})
 
 
 # -- identity verifiers --------------------------------------------------------
@@ -266,7 +267,9 @@ class FirstKindContext:
         w2 = self.second.row(n)
         for alternating, kind in ((False, "first"), (True, "second")):
             sums = self.alternating_sums if alternating else self.sums
-            lhs = sum((w * sums[k] for k, w in enumerate(w2)), ZERO)
+            lhs = ZERO
+            for k, w in enumerate(w2):
+                lhs = lhs.add_mul(w, sums[k])
             if lhs != BiPoly.const(Fraction((-1) ** n if alternating else 1, n + 1)):
                 return f"{kind}-kind inversion fails at n={n}: got {lhs}"
         return None

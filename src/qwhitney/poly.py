@@ -5,7 +5,11 @@ exponent pairs ``(dq, dr)`` to nonzero ``int`` numerators, plus one
 ``den > 0``.  Every polynomial this package builds is of that shape (the
 r-Whitney numbers have integer coefficients, and the Cauchy weights 1/(k+1)
 only add a denominator), so the ring operations run on Python ints and
-normalize once per result instead of once per coefficient.  ``Fraction``
+normalize once per result instead of once per coefficient.  They run on
+one multiply-accumulate, ``add_mul``, self + m*y in one numerator map;
+``+`` and ``*`` are its special cases, and every x + m*y loop of the
+package (the triangle row step, the ``Series`` products, the shift-law
+sums) calls it, so no product is built only to be added.  ``Fraction``
 appears only at the boundary: the constructor takes ``Fraction``/``int``
 maps, and ``coeff``, ``const_value``, ``sorted_terms``, ``eval_at`` and
 ``to_records`` hand back reduced rationals.
@@ -27,21 +31,19 @@ q-degree.  The human-readable renderings group terms by powers of r, which
 is how these polynomials are conventionally written ("r^2 + (q - 1)*r -
 (1/2)*q + 1/3").
 
-Output is written in one pass over the terms.  ``to_text`` and ``to_latex``
-sort the exponent pairs once, by (dr, dq) descending, which is the order
-they print in, and walk the runs of equal dr in that list.  Each coefficient
-is reduced against ``den`` with one gcd (none when ``den`` is 1), the
-variable parts come from a cache keyed by exponent pair, and the sign and
-body strings of all terms are joined once.  ``to_json`` writes the record
-array that ``to_records`` returns as compact JSON, one f-string per term,
-with the bytes ``json.dumps(p.to_records(), separators=(",", ":"))`` gives;
-the command line writes its JSON output with it.
+``to_text`` and ``to_latex`` sort the exponent pairs once, by (dr, dq)
+descending, the order they print in, and write them in one loop.  Each
+coefficient is reduced against ``den`` with one gcd (none when ``den`` is
+1), the variable parts come from a cache, and the strings are joined once.
+``to_json`` writes the record array that ``to_records`` returns as compact
+JSON, one f-string per term, with the bytes ``json.dumps(p.to_records(),
+separators=(",", ":"))`` gives; the command line writes its JSON output
+with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -149,18 +151,7 @@ class BiPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: BiPoly | Fraction | int) -> BiPoly:
-        if not isinstance(other, BiPoly):
-            other = BiPoly.const(other)
-        if self._den == other._den:  # always so inside the triangle recurrences (den = 1)
-            den, out, lift = self._den, dict(self._terms), 1
-        else:
-            den = lcm(self._den, other._den)
-            mine = den // self._den
-            out = {key: c * mine for key, c in self._terms.items()}
-            lift = den // other._den
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c * lift
-        return BiPoly._of(out, den)
+        return self.add_mul(ONE, other)
 
     __radd__ = __add__
 
@@ -168,29 +159,42 @@ class BiPoly:
         return BiPoly._of({key: -c for key, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: BiPoly | Fraction | int) -> BiPoly:
-        if not isinstance(other, BiPoly):
-            other = BiPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other: Fraction | int) -> BiPoly:
-        return BiPoly.const(other) + (-self)
+        return (-self) + other
 
     def __mul__(self, other: BiPoly | Fraction | int) -> BiPoly:
         if not isinstance(other, BiPoly):
             return self.scale(other)
-        out: dict[Key, int] = {}
-        for (aq, ar), ca in self._terms.items():
-            for (bq, br), cb in other._terms.items():
+        return ZERO.add_mul(self, other)
+
+    def add_mul(self, m: BiPoly, y: BiPoly | Fraction | int) -> BiPoly:
+        """self + m*y, the multiply-accumulate under ``+`` and ``*``: the products go
+        into one numerator map over one common denominator, normalized once."""
+        if not isinstance(y, BiPoly):
+            y = BiPoly.const(y)
+        prod_den = m._den * y._den
+        if self._den == prod_den:  # always so inside the triangle recurrences (den = 1)
+            den, out, lift = prod_den, dict(self._terms), 1
+        else:
+            den = lcm(self._den, prod_den)
+            mine = den // self._den
+            out = {key: c * mine for key, c in self._terms.items()}
+            lift = den // prod_den
+        ys = y._terms.items()
+        for (aq, ar), ca in m._terms.items():
+            ca *= lift
+            for (bq, br), cb in ys:
                 key = (aq + bq, ar + br)
                 out[key] = out.get(key, 0) + ca * cb
-        return BiPoly._of(out, self._den * other._den)
-
-    def __rmul__(self, other: Fraction | int) -> BiPoly:
-        return self.scale(other)
+        return BiPoly._of(out, den)
 
     def scale(self, c: Fraction | int) -> BiPoly:
         num, den = _ratio(c)
         return BiPoly._of({key: v * num for key, v in self._terms.items()}, self._den * den)
+
+    __rmul__ = scale
 
     def __pow__(self, n: int) -> BiPoly:
         if not isinstance(n, int) or n < 0:
@@ -333,34 +337,42 @@ def _render(p: BiPoly, latex: bool) -> str:
         return "0"
     var_parts = _LATEX_VARS if latex else _TEXT_VARS
     mul = "" if latex else "*"
-    # Each term adds a sign (" + " or " - ") and a body to out, and the
-    # leading sign is rewritten once at the end.  An r-power with two or more
-    # terms collects its signed bodies, relative to its first sign, in a list
-    # of its own, and adds them to out as one parenthesized body.
+    # One loop over the terms in print order: each adds a sign (" + " or " - ")
+    # and a body to out, and the leading sign is rewritten at the end.  A term
+    # alone at its r-power (every term of a triangle entry) is written directly.
+    # A group of two or more opens with its first term's sign and a parenthesis,
+    # signs its terms relative to that one, and closes with the r-power.
+    keys = sorted(terms, key=itemgetter(1, 0), reverse=True)
+    drs = [-1, *(dr for _, dr in keys), -1]
     out: list[str] = []
-    for dr, group in groupby(sorted(terms, key=itemgetter(1, 0), reverse=True), itemgetter(1)):
-        group = list(group)
-        nested = dr > 0 and len(group) > 1
-        pieces, flip = ([], terms[group[0]] < 0) if nested else (out, False)
-        for key in group:
-            c = terms[key]
-            pieces.append(" - " if (c < 0) != flip else " + ")
-            v = var_parts[(key[0], 0) if nested else key]
-            if den == 1:
-                a, d = abs(c), 1
+    flip = False  # the sign pulled out of the open group
+    for key, before, after in zip(keys, drs, drs[2:]):  # with the r-powers of its neighbours
+        c = terms[key]
+        dq, dr = key
+        first, last = before != dr, after != dr
+        if not dr or first and last:
+            out.append(" - " if c < 0 else " + ")
+            v = var_parts[key]
+        else:
+            if first:
+                flip = c < 0
+                out.append(" - " if flip else " + ")
+                out.append("(")
             else:
-                g = gcd(c, den)
-                a, d = abs(c) // g, den // g
-            if d == 1:
-                pieces.append(f"{a}{mul}{v}" if a != 1 and v else v or f"{a}")
-            elif latex:
-                pieces.append(f"\\frac{{{a}}}{{{d}}}{v}")
-            else:
-                pieces.append(f"({a}/{d})*{v}" if v else f"{a}/{d}")
-        if nested:
-            pieces[0] = ""
-            out.append(" - " if flip else " + ")
-            out.append(f"({''.join(pieces)}){mul}{var_parts[0, dr]}")
+                out.append(" - " if (c < 0) != flip else " + ")
+            v = var_parts[dq, 0]
+        if den == 1:
+            a, d = abs(c), 1
+        else:
+            g = gcd(c, den)
+            a, d = abs(c) // g, den // g
+        if d == 1:
+            out.append(f"{a}{mul}{v}" if a != 1 and v else v or f"{a}")
+        elif latex:
+            out.append(f"\\frac{{{a}}}{{{d}}}{v}")
+        else:
+            out.append(f"({a}/{d})*{v}" if v else f"{a}/{d}")
+        if dr and last and not first:
+            out.append(f"){mul}{var_parts[0, dr]}")
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
-

@@ -85,36 +85,29 @@ class Series:
         n = self._order
         out = [ZERO] * (n + 1)
         for i, a in enumerate(self._coeffs):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other._coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
+            if not a.is_zero():
+                for j, b in enumerate(other._coeffs[: n + 1 - i]):
+                    out[i + j] = out[i + j].add_mul(a, b)
         return Series(n, tuple(out))
 
     def scale(self, c: BiPoly | Fraction | int) -> Series:
-        return Series(self._order, tuple(p * c for p in self._coeffs))
+        if isinstance(c, BiPoly):
+            return Series(self._order, tuple(p * c for p in self._coeffs))
+        return Series(self._order, tuple(p.scale(c) for p in self._coeffs))
 
     def mul_linear(self, sign: int, c: BiPoly) -> Series:
         """Multiply by the linear factor (sign*t + c), sign in {+1, -1}, truncated at the order."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        n = self._order
-        out = [ZERO] * (n + 1)
-        for k, p in enumerate(self._coeffs):
-            if p.is_zero():
-                continue
-            if k < n:
-                out[k + 1] = out[k + 1] + p.scale(sign)
-            out[k] = out[k] + p * c
-        return Series(n, out)
+        # [t^k] of the product is sign * coeff(k - 1) + c * coeff(k); coeff(N) * t drops out.
+        shifted = (ZERO, *self._coeffs[:-1])
+        return Series(self._order, [p.scale(sign).add_mul(c, x) for p, x in zip(shifted, self._coeffs)])
 
     def subst_t(self, value: BiPoly) -> BiPoly:
         """The polynomial sum_k coeff(k) * t^k at t = value (in q, r), by Horner's rule."""
         acc = ZERO
         for p in reversed(self._coeffs):
-            acc = acc * value + p
+            acc = p.add_mul(acc, value)
         return acc
 
     def integrate01(self) -> BiPoly:
@@ -128,17 +121,15 @@ class Series:
         """Formal exponential; requires zero constant term."""
         if not self._coeffs[0].is_zero():
             raise ValueError("exp requires a series with zero constant term")
-        n = self._order
-        out = [ZERO] * (n + 1)
-        out[0] = ONE
-        for m in range(1, n + 1):
+        weighted = [a.scale(j) for j, a in enumerate(self._coeffs)]  # j * a_j
+        out = [ONE]
+        for m in range(1, self._order + 1):
             acc = ZERO
             for j in range(1, m + 1):
-                a = self._coeffs[j]
-                if not a.is_zero():
-                    acc = acc + (a * out[m - j]).scale(j)
-            out[m] = acc.scale(Fraction(1, m))
-        return Series(n, tuple(out))
+                if not weighted[j].is_zero():
+                    acc = acc.add_mul(weighted[j], out[m - j])
+            out.append(acc.scale(Fraction(1, m)))
+        return Series(self._order, tuple(out))
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c})*t^{i}" for i, c in enumerate(self._coeffs) if not c.is_zero())

@@ -123,7 +123,7 @@ def _suite_orthogonality(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) ->
         for k in range(n + 1):
             total = ZERO
             for j in range(k, n + 1):
-                total = total + w2.entry(n, j) * w1.entry(j, k)
+                total = total.add_mul(w2.entry(n, j), w1.entry(j, k))
             yield _equal(total, ONE if k == n else ZERO, f"orthogonality sum, n={n}, k={k}")
         row = w1.row_poly(n)
         for j in range(n):

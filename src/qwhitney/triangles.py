@@ -124,17 +124,20 @@ def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0) -> Iterator[l
     Both triangles follow one step, row[k] = prev[k-1] + m_k * prev[k] with
     entries outside 0..n read as zero; only the multiplier differs:
     m_k = -(n*q + r) for the first kind and m_k = k*q + r for the second.
+    The step is the ring's multiply-accumulate: ``BiPoly.add_mul``, which
+    forms the sum in one numerator map, and a + m*b for int and Decimal.
     With integer q, r and one, a nonzero ``mod`` reduces each row mod it,
     so the rows hold the residues of the integer rows.
     """
     second = kind is TriangleKind.WHITNEY_SECOND
+    fused = isinstance(one, BiPoly)
     row = [one]
     yield row
     for n in range(n_max):
         mults = [k * q + r for k in range(n + 1)] if second else [-(n * q + r)] * (n + 1)
         row = [
             mults[0] * row[0],
-            *[a + m * b for a, m, b in zip(row, mults[1:], row[1:])],
+            *[a.add_mul(m, b) if fused else a + m * b for a, m, b in zip(row, mults[1:], row[1:])],
             row[-1],
         ]
         if mod:
@@ -356,7 +359,10 @@ def shift_sum(n: int, rise: list[BiPoly], terms) -> BiPoly:
     polynomial or a number; a caller leaves out the pairs whose v_j is
     known to be zero.
     """
-    return sum((rise[n - j] * (v * (binomial(n, j) * (-1) ** (n - j))) for j, v in terms), ZERO)
+    total = ZERO
+    for j, v in terms:
+        total = total.add_mul(rise[n - j], v * (binomial(n, j) * (-1) ** (n - j)))
+    return total
 
 
 def falling_factorial_x(m: int) -> Series:

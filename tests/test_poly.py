@@ -218,19 +218,26 @@ def assert_matches(p, want):
 
 
 class TestAgainstFractionReference:
-    @given(term_maps, term_maps, points, points, points)
-    @example({(0, 1): F(1, 2)}, {(0, 1): F(1, 2)}, F(3), F(1, 2), F(1, 2))  # r/2 + r/2: den cancels
-    @example({(0, 1): F(1, 3)}, {(1, 0): F(1, 3), (0, 1): F(-1, 3)}, F(3), F(0), F(1, 3))  # shared den
-    @example({(2, 1): F(1, 2), (0, 3): F(-2, 3)}, {(0, 0): F(5, 7)}, F(0), F(-3, 4), F(2, 5))
-    def test_ring_operations_and_substitution(self, ta, tb, c, s, t):
-        a, b = _ref_clean(ta), _ref_clean(tb)
-        pa, pb = BiPoly(ta), BiPoly(tb)
+    @given(term_maps, term_maps, term_maps, points, points, points)
+    @example({(0, 1): F(1, 2)}, {(0, 1): F(1, 2)}, {}, F(3), F(1, 2), F(1, 2))  # r/2 + r/2: den cancels
+    @example({(0, 1): F(1, 3)}, {(1, 0): F(1, 3), (0, 1): F(-1, 3)}, {(0, 0): 3}, F(3), F(0), F(1, 3))  # shared den
+    @example({(2, 1): F(1, 2), (0, 3): F(-2, 3)}, {(0, 0): F(5, 7)}, {(1, 1): F(7, 2)}, F(0), F(-3, 4), F(2, 5))
+    # add_mul: a, m and y over the three denominators 2, 3 and 5
+    @example({(0, 1): F(1, 2)}, {(0, 0): F(2, 5), (2, 0): F(-1, 5)}, {(1, 0): F(1, 3)}, F(1), F(0), F(0))
+    # add_mul: r*(q + 1)/2 - (r/2)*(q + 1) cancels to zero
+    @example({(1, 1): F(1, 2), (0, 1): F(1, 2)}, {(1, 0): 1, (0, 0): 1}, {(0, 1): F(-1, 2)}, F(1), F(0), F(0))
+    # add_mul as the first-kind row step: w(3, 1) + m * w(3, 2) with m = -(3q + r)
+    @example({(2, 0): 2, (1, 1): 6, (0, 2): 3}, {(1, 0): -3, (0, 1): -3}, {(1, 0): -3, (0, 1): -1}, F(1), F(0), F(0))
+    def test_ring_operations_and_substitution(self, ta, tb, tm, c, s, t):
+        a, b, m = _ref_clean(ta), _ref_clean(tb), _ref_clean(tm)
+        pa, pb, pm = BiPoly(ta), BiPoly(tb), BiPoly(tm)
         minus_b = _ref_scale(b, F(-1))
         cases = [
             (pa + pb, _ref_add(a, b)),
             (pa - pb, _ref_add(a, minus_b)),
             (-pb, minus_b),
             (pa * pb, _ref_mul(a, b)),
+            (pa.add_mul(pm, pb), _ref_add(a, _ref_mul(m, b))),
             (pa.scale(c), _ref_scale(a, c)),
             (pa.subst_q(s, t), _ref_subst(a, 0, s, t)),
             (pa.subst_r(s, t), _ref_subst(a, 1, s, t)),
@@ -348,9 +355,23 @@ class TestRendering:
 # Polynomials for the renderer: exponents up to 12, so that LaTeX braces
 # some of them; several q-powers per r-power, with leading coefficients of
 # either sign; integer numerators over a shared denominator, some of them
-# large, or coefficients with their own denominators.
+# large, or coefficients with their own denominators.  Homogeneous
+# polynomials, as every triangle entry is, have one term per r-power, which
+# the renderer writes without grouping.
 _render_numerators = st.one_of(st.integers(-40, 40), st.integers(-(10**30), 10**30))
+_render_dens = st.sampled_from([1, 2, 6, 12])
+
+
+def _homogeneous(degree):
+    return st.builds(
+        lambda row, den: BiPoly({(degree - dr, dr): F(n, den) for dr, n in row.items()}),
+        st.dictionaries(st.integers(0, degree), _render_numerators, max_size=6),
+        _render_dens,
+    )
+
+
 render_polys = st.one_of(
+    st.integers(0, 14).flatmap(_homogeneous),
     st.builds(
         lambda groups, den: BiPoly(
             {(dq, dr): F(n, den) for dr, row in groups.items() for dq, n in row.items()}
@@ -372,6 +393,7 @@ class TestAgainstReferenceRenderer:
     @example(BiPoly({(0, 11): -1, (1, 10): -55, (0, 10): F(11, 2), (12, 0): 2}))
     @example(BiPoly({(3, 2): F(-1, 6), (0, 2): F(5, 2), (1, 2): 1, (0, 0): F(-7, 3), (10, 1): F(1, 6)}))
     @example(BiPoly({(0, 0): F(-1, 2)}))
+    @example(BiPoly({(13, 0): F(1, 6), (11, 2): -4, (2, 11): F(-5, 6), (0, 13): F(7, 6)}))
     def test_renderings(self, p):
         assert p.to_text() == reference_render(p, latex=False)
         assert p.to_latex() == reference_render(p, latex=True)
