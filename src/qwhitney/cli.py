@@ -167,17 +167,29 @@ def _size(args: argparse.Namespace) -> tuple[str, int, int]:
     return "--n-max", args.n_max, limit
 
 
-def _eval_lines(values, fmt: str):
-    """The text or csv lines of each row of Decimal (num, den) pairs, one string per row."""
+def _eval_rows(values, fmt: str):
+    """One string per row of Decimal (num, den) pairs, in the text, csv or json layout.
+
+    A den object that ``decimal_rows`` shares down a column n - k is printed
+    once: each column keeps its last den with the text after the numerator,
+    and a row is joined from these pieces, not copied into each cell.
+    """
     one = Decimal(1)  # compares with a Decimal faster than the int 1 does
+    as_json = fmt == "json"
+    ends: list = []  # column n - k: its last den and the text after the numerator
     for n, row in enumerate(values):
         pre, sep = (f"{n},", ",") if fmt == "csv" else (f"n={n} k=", ": ")
-        yield "".join(
-            [
-                f"{pre}{k}{sep}{a!s}/{b!s}\n" if b != one else f"{pre}{k}{sep}{a!s}\n"
-                for k, (a, b) in enumerate(row)
-            ]
-        )
+        ends.append((None, ""))
+        parts = []
+        for k, (a, b) in enumerate(row):
+            end = ends[n - k]
+            if end[0] is not b:
+                end = ends[n - k] = (b, f"{b}}}" if as_json else f"/{b}\n" if b != one else "\n")
+            head = f'{"," if k else "["}{{"num":{a!s},"den":' if as_json else f"{pre}{k}{sep}{a!s}"
+            parts += (head, end[1])
+        text = "".join(parts + ["]"] if as_json else parts)
+        del parts  # not held while the row is written
+        yield text
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
@@ -198,16 +210,8 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         # so the requested evaluation point does not affect them.
         point = (q0, rv) if kind in ("w", "W") else (1, r0)
         base = TriangleKind.WHITNEY_SECOND if kind == "W" else TriangleKind.WHITNEY_FIRST
-        values = decimal_rows(base, n_max, *point)
-        # Cells are written with str() of the Decimals, which prints their
-        # digits in linear time: one f-string per cell, and JSON rows by hand.
-        if fmt == "json":
-            rows = (
-                "[" + ",".join([f'{{"num":{a!s},"den":{b!s}}}' for a, b in row]) + "]"
-                for row in values
-            )
-        else:
-            rows = _eval_lines(values, fmt)
+        # str() of a Decimal prints its digits in linear time.
+        rows = _eval_rows(decimal_rows(base, n_max, *point), fmt)
     else:
         tri = triangle(TriangleKind(kind), n_max, r0 if kind == "sr" else None)
         if fmt == "json":

@@ -20,14 +20,15 @@ the integers u(n, k) = w(n, k) * D^(n-k) (or W); the Stirling kinds are
 those integer rows at q = 1, r = r0, where D = 1.  ``decimal_rows`` runs
 that step over integer-valued Decimals in an exact context, so that a row
 can be printed with ``str()`` in time linear in its digits, and reduces
-each entry to lowest terms as its row is read out.  Only primes of D can
-cancel, and the step is linear with integer multipliers, so the same step
-over ints mod D^J (a residue row, about one machine word per entry) gives
-gcd(u, D^J); an entry goes back to its full Decimal value only when some
-prime of D divides it to its full power in D^J.  ``row_poly`` reassembles
-sum_k w(n, k) x^k as a ``Series`` of order n so callers can check it against the defining
-product, and ``whitney_first_cheon`` computes a single first-kind entry
-from the closed double-sum form
+each row to lowest terms in one loop as it is read out.  Only primes of D
+can cancel, and the step is linear with integer multipliers, so the same
+step over ints mod D^J (a residue row, about one machine word per entry)
+gives gcd(u, D^J); an entry goes back to its full Decimal value only when
+some prime of D divides it to its full power in D^J.  Each column n - k
+keeps its last reduced denominator and reuses it while its gcd repeats.
+``row_poly`` reassembles sum_k w(n, k) x^k as a ``Series`` of order n, to
+check against the defining product, and ``whitney_first_cheon`` computes
+one first-kind entry from the closed double-sum form
 
     w(n, k) = sum_{i} C(n, i) * (-1)^(n-i) * q^(i-k) * [r|q]_(n-i) * s(i, k)
 
@@ -123,18 +124,23 @@ def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0) -> Iterator[l
 
     Both triangles follow one step, row[k] = prev[k-1] + m_k * prev[k] with
     entries outside 0..n read as zero; only the multiplier differs:
-    m_k = -(n*q + r) for the first kind and m_k = k*q + r for the second.
-    The step is the ring's multiply-accumulate: ``BiPoly.add_mul``, which
-    forms the sum in one numerator map, and a + m*b for int and Decimal.
-    With integer q, r and one, a nonzero ``mod`` reduces each row mod it,
-    so the rows hold the residues of the integer rows.
+    m_k = -(n*q + r) for the first kind and m_k = k*q + r for the second,
+    whose list grows by one per row.  The step is the ring's multiply-add:
+    ``BiPoly.add_mul``, which forms the sum in one numerator map, and
+    a + m*b for int and Decimal.  With integer q, r and one, a nonzero
+    ``mod`` reduces each row mod it, so the rows hold the residues of the
+    integer rows.
     """
     second = kind is TriangleKind.WHITNEY_SECOND
     fused = isinstance(one, BiPoly)
+    mults = []
     row = [one]
     yield row
     for n in range(n_max):
-        mults = [k * q + r for k in range(n + 1)] if second else [-(n * q + r)] * (n + 1)
+        if second:
+            mults.append(n * q + r)
+        else:
+            mults = [-(n * q + r)] * (n + 1)
         row = [
             mults[0] * row[0],
             *[a.add_mul(m, b) if fused else a + m * b for a, m, b in zip(row, mults[1:], row[1:])],
@@ -240,32 +246,6 @@ _EXACT = Context(
 _DECIMAL_ZERO = (Decimal(0), Decimal(1))
 
 
-def _lowest_terms(
-    u: Decimal, m: int, j: int, g: int, powers: list[int], dpowers: list[Decimal]
-) -> tuple[Decimal, Decimal]:
-    """u / D^m as (numerator, denominator) in lowest terms, given g = gcd(u, D^j).
-
-    powers[i] = D^i as an int and dpowers[i] = D^i as a Decimal, and
-    1 <= j <= m unless m = 0.  Only primes of D can cancel.  For a prime p
-    whose power in D is p^e, g holds p^min(v, e*j), with p^v the power of
-    p in u.  If g divides D^(j-1), each of these is below e*j, so it is
-    p^v, and g is already gcd(u, D^m).  Otherwise j is doubled (capped at
-    m) and g taken again as gcd(u mod D^j, D^j), until g divides D^(j-1)
-    or j = m.  No gcd of full-size operands is taken, and the remainders
-    are the only values converted to int.  A zero entry, which the step
-    can leave as a negative zero, is returned as 0/1.
-    """
-    if not u:
-        return _DECIMAL_ZERO
-    while j < m and powers[j - 1] % g:
-        j = min(2 * j, m)
-        g = gcd(int(u % dpowers[j]), powers[j])
-    if g == 1:
-        return u, dpowers[m]
-    g = Decimal(g)
-    return u // g, dpowers[m] // g
-
-
 def decimal_rows(
     kind: TriangleKind, n_max: int, q0: Fraction | int, r0: Fraction | int
 ) -> Iterator[list[tuple[Decimal, Decimal]]]:
@@ -282,9 +262,9 @@ def decimal_rows(
     (at least 1, at most n_max), so that D^J is about one machine word.
     The step is linear with the integer multipliers k*A + C (or n*A + C),
     so these rows hold u(n, k) mod D^J, and gcd(res, D^j) = gcd(u, D^j)
-    for j = min(n - k, J).  ``_lowest_terms`` starts from that gcd, and
-    goes back to the Decimal u only when some prime of D divides u to its
-    full power in D^J.
+    for j = min(n - k, J).  Each row is reduced in one loop from that gcd,
+    and a column's denominator D^(n-k) / g is reused while g repeats, so
+    a den object may be shared between rows.
     """
     d, a, c = _scaled_point(kind, n_max, q0, r0)
     one = Decimal(1)
@@ -298,24 +278,39 @@ def decimal_rows(
     return _reduced_rows(rows, residues, big_j, powers, dpowers)
 
 
-def _reduced_rows(
-    rows: Iterator[list[Decimal]],
-    residues: Iterator[list[int]],
-    big_j: int,
-    powers: list[int],
-    dpowers: list[Decimal],
-) -> Iterator[list[tuple[Decimal, Decimal]]]:
+def _reduced_rows(rows, residues, big_j: int, powers: list[int], dpowers: list) -> Iterator[list]:
+    """Each row's entries u / D^m, m = n - k, in lowest terms, in one loop per row.
+
+    Only primes of D can cancel.  For a prime p whose power in D is p^e,
+    g = gcd(res, D^j) with j = min(m, big_j) holds p^min(v, e*j), p^v the
+    power of p in u.  If g divides D^(j-1), each of these is p^v, and g is
+    gcd(u, D^m).  Otherwise j is doubled (capped at m) and g taken again as
+    gcd(u mod D^j, D^j), until g divides D^(j-1) or j = m: no gcd of
+    full-size operands is taken.  A zero entry, which the step can leave as
+    a negative zero, is 0/1.  Column m keeps its last g > 1, as an int and
+    a Decimal, with D^m / g, and reuses them while its g stays the same.
+    """
+    cols = [(1, None, None)] * len(powers)
     for n in range(len(powers)):
-        # Entry k has m = n - k factors of D, and its residue gives
-        # gcd(u, D^j) for j = min(m, big_j).
-        ms = range(n, -1, -1)
-        js = [min(m, big_j) for m in ms]
         with localcontext(_EXACT):
             row = next(rows)  # runs the step, so inside the exact context
-            reduced = [
-                _lowest_terms(u, m, j, gcd(res, powers[j]), powers, dpowers)
-                for u, res, m, j in zip(row, next(residues), ms, js)
-            ]
+            reduced = []
+            add = reduced.append
+            for m, u, res in zip(range(n, -1, -1), row, next(residues)):
+                j = m if m < big_j else big_j
+                g = gcd(res, powers[j])
+                if not u:
+                    add(_DECIMAL_ZERO)
+                    continue
+                while j < m and powers[j - 1] % g:
+                    j = min(2 * j, m)
+                    g = gcd(int(u % dpowers[j]), powers[j])
+                if g == 1:
+                    add((u, dpowers[m]))
+                    continue
+                if cols[m][0] != g:
+                    cols[m] = (g, dg := Decimal(g), dpowers[m] // dg)
+                add((u // cols[m][1], cols[m][2]))
         yield reduced
 
 

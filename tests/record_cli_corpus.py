@@ -79,7 +79,8 @@ _USAGE = (
 
 def corpus_argvs() -> list[tuple[str, ...]]:
     """Every triangle kind x format at n in {0, 1, 2, 12}, symbolic and at each
-    evaluation point; cauchy and egf in every format; verify of every suite
+    evaluation point; w and W at n = 60 at two evaluation points, in every
+    format; cauchy and egf in every format; verify of every suite
     at n <= 6 with and without shift values; the usage errors."""
     argvs: list[tuple[str, ...]] = []
     for kind in ("w", "W", "s", "sr"):
@@ -89,6 +90,11 @@ def corpus_argvs() -> list[tuple[str, ...]]:
                     for point in (None, *_EVAL_POINTS):
                         at = ("--eval", point) if point else ()
                         argvs.append(("triangle", "--kind", kind, "--n-max", n, *r0, *at, "--format", fmt))
+    # Rows long enough that a column's gcd with D repeats over many rows.
+    for kind in ("w", "W"):
+        for point in ("q=16/23,r=-17/29", "q=5/12,r=-7/18"):
+            for fmt in FORMATS:
+                argvs.append(("triangle", "--kind", kind, "--n-max", "60", "--eval", point, "--format", fmt))
     for kind in ("first", "second"):
         for n in ("0", "1", "2", "5", "12"):
             for fmt in FORMATS:

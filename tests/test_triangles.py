@@ -357,6 +357,13 @@ class TestDecimalRows:
         for kind in kinds:
             _assert_lowest_terms(kind, n_max, point, rows[kind])
 
+    def test_denominators_reused_down_a_column_are_lowest_terms(self):
+        # At D = 23 * 29 about three quarters of the entries with g > 1 take
+        # the denominator kept from the row before in their column.
+        point = (F(16, 23), F(-17, 29))
+        for kind in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
+            _assert_lowest_terms(kind, 120, point, list(decimal_rows(kind, 120, *point)))
+
     def test_rounding_raises_instead_of_printing_a_wrong_digit(self, monkeypatch):
         narrow = triangles._EXACT.copy()
         narrow.prec = 30
