@@ -15,11 +15,13 @@ first-kind triangle:
 so ``cauchy_second`` substitutes r -> -r into the alternating sum.  At a
 rational point, ``cauchy_value`` takes the same sums over one integer row
 of the first-kind triangle and never builds the polynomial.  Each
-construction has an independent oracle: the ``*_integral`` functions build
-the defining product factor by factor and integrate it termwise, and
-``cauchy_first_via_stirling`` uses the closed double sum over Stirling
-numbers, which is the shift law below taken from r = 0.  Agreement of
-the code paths is what the oracle suites check.
+construction has an independent oracle: the ``*_integrals`` functions
+build the defining product factor by factor and integrate it termwise
+after each factor, and ``cauchy_first_stirling_sums`` uses the closed
+double sum over Stirling numbers, which is the shift law below taken from
+r = 0.  Each yields n = 0..n_max in turn, in one pass, and the per-n
+``*_integral`` and ``cauchy_first_via_stirling`` keep its last value.
+Agreement of the code paths is what the oracle suites check.
 
 Setting q = 1 and r = 0 gives the classical Cauchy numbers of both kinds
 (1, 1/2, -1/6, 1/4, ... and 1, -1/2, 5/6, -9/4, ...); keeping q symbolic
@@ -47,8 +49,10 @@ reads every row sum and substituted entry from one first-kind triangle
 and builds each of them once.  A check at n makes a context for n; a
 verification run makes one for its n_max and passes it to every check.
 The three shift laws, like the Stirling closed form, take their right
-side from ``triangles.shift_sum`` over one rising-factorial list.  The
-oracles above never read a context.  Rational arguments are ints or
+side from ``triangles.shift_sum`` over the ``triangles.shift_weights`` of
+n, made from one rising-factorial list; the context keeps the weights of
+the n under check, and the Stirling closed form makes its own.  The oracles above
+never read a context.  Rational arguments are ints or
 Fractions; anything else is a TypeError.
 """
 
@@ -59,11 +63,19 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import Iterator
 
 from . import triangles
-from .poly import ONE, Q, R, ZERO, BiPoly, as_rational
+from .poly import ONE, Q, R, BiPoly, as_rational
 from .series import Series
-from .triangles import Triangle, TriangleKind, rising_factorials, shift_sum, stirling_first_row
+from .triangles import (
+    Triangle,
+    TriangleKind,
+    rising_factorials,
+    shift_sum,
+    shift_weights,
+    stirling_first_row,
+)
 
 
 class CauchyKind(enum.Enum):
@@ -105,25 +117,47 @@ def cauchy_poly(kind: CauchyKind, n: int) -> BiPoly:
     return cauchy_first(n) if kind is CauchyKind.FIRST else cauchy_second(n)
 
 
-def cauchy_first_integral(n: int) -> BiPoly:
-    """Oracle for c_n(r): expand (x - r | q)_n and integrate over [0, 1].
+def _integrals(n_max: int, sign: int, root) -> Iterator[BiPoly]:
+    """The integrals over [0, 1] of prod_{j<n} (sign*x + root(j)) for n = 0..n_max.
+
+    One product of order n_max takes one more factor per n; nothing is
+    truncated, since the product for n has degree n.
+    """
+    acc = Series.one(n_max)
+    yield acc.integrate01()
+    for j in range(n_max):
+        acc = acc.mul_linear(sign, root(j))
+        yield acc.integrate01()
+
+
+def cauchy_first_integrals(n_max: int) -> Iterator[BiPoly]:
+    """Oracle for c_n(r), n = 0..n_max in turn: expand (x - r | q)_n and integrate over [0, 1].
 
     Independent of the triangle recurrence; only the factored product and
     termwise integration are used.
     """
-    if n < 0:
+    if n_max < 0:
         raise ValueError("n must be nonnegative")
-    return triangles.falling_factorial_x(n).integrate01()
+    return _integrals(n_max, 1, lambda j: -(R + Q.scale(j)))
+
+
+def cauchy_second_integrals(n_max: int) -> Iterator[BiPoly]:
+    """Oracle for chat_n(r), n = 0..n_max in turn: expand (-x + r | q)_n and integrate over [0, 1]."""
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
+    return _integrals(n_max, -1, lambda j: R - Q.scale(j))
+
+
+def cauchy_first_integral(n: int) -> BiPoly:
+    """Oracle for c_n(r); see ``cauchy_first_integrals``."""
+    *_, last = cauchy_first_integrals(n)
+    return last
 
 
 def cauchy_second_integral(n: int) -> BiPoly:
-    """Oracle for chat_n(r): expand (-x + r | q)_n and integrate over [0, 1]."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    acc = Series.one(n)
-    for j in range(n):
-        acc = acc.mul_linear(-1, R - Q.scale(j))
-    return acc.integrate01()
+    """Oracle for chat_n(r); see ``cauchy_second_integrals``."""
+    *_, last = cauchy_second_integrals(n)
+    return last
 
 
 def cauchy_first_via_stirling(n: int) -> BiPoly:
@@ -135,11 +169,17 @@ def cauchy_first_via_stirling(n: int) -> BiPoly:
     the shift law from r = 0, where the inner sum is c_i(0), the
     one-parameter number ``q_cauchy_number(FIRST, i)``.
     """
-    if n < 0:
+    *_, last = cauchy_first_stirling_sums(n)
+    return last
+
+
+def cauchy_first_stirling_sums(n_max: int) -> Iterator[BiPoly]:
+    """``cauchy_first_via_stirling`` for n = 0..n_max in turn, over one rising-factorial list."""
+    if n_max < 0:
         raise ValueError("n must be nonnegative")
-    return shift_sum(
-        n, rising_factorials(n), ((i, q_cauchy_number(CauchyKind.FIRST, i)) for i in range(n + 1))
-    )
+    rise = rising_factorials(n_max)
+    numbers = [q_cauchy_number(CauchyKind.FIRST, i) for i in range(n_max + 1)]
+    return (shift_sum(shift_weights(n, rise), enumerate(numbers[: n + 1])) for n in range(n_max + 1))
 
 
 def cauchy_value(kind: CauchyKind, n: int, q0: Fraction | int, r0: Fraction | int) -> Fraction:
@@ -196,8 +236,9 @@ class FirstKindContext:
     triangles, taken from ``triangles.whitney_first`` and
     ``triangles.whitney_second`` when first read; the row sums c_j(r) and
     chat_j(r) and the alternating row sums chat_j(-r); the rising factorials
-    [r|q]_m and [r|1]_m; the classical numbers c_j; and, per shift value s,
-    the substituted c_j(s) and w(j, k) at r = s.  These are the values under
+    [r|q]_m and [r|1]_m, and the shift weights over them of the last n
+    read; the classical numbers c_j; and, per shift value s, the
+    substituted c_j(s) and w(j, k) at r = s.  These are the values under
     test; no oracle is built from them.
     """
 
@@ -205,6 +246,7 @@ class FirstKindContext:
         self.n_max = n_max
         self._sums_at: dict[Fraction, list[BiPoly]] = {}
         self._rows_at: dict[Fraction, list[list[BiPoly]]] = {}
+        self._weights: tuple[tuple[int, bool], list[BiPoly]] | None = None
 
     @cached_property
     def first(self) -> Triangle:
@@ -254,10 +296,21 @@ class FirstKindContext:
             self._rows_at[s] = [[w.subst_r(0, s) for w in row] for row in rows]
         return self._rows_at[s]
 
+    def weights(self, n: int, classical: bool = False) -> list[BiPoly]:
+        """The shift weights of n over [r|q]_m, or over [r|1]_m if classical.
+
+        Only the last n asked for is kept: the suites ask for one n at every
+        shift value before they go on to the next.
+        """
+        key = (n, classical)
+        if self._weights is None or self._weights[0] != key:
+            self._weights = (key, shift_weights(n, self.classical_rise if classical else self.rise))
+        return self._weights[1]
+
     def shift_failure(self, n: int, s: Fraction) -> str | None:
         """The shift law at n and s; see ``shift_counterexample``."""
         lhs = self.sums[n].subst_r(1, s)
-        rhs = shift_sum(n, self.rise, enumerate(self.sums_at(s)[: n + 1]))
+        rhs = shift_sum(self.weights(n), enumerate(self.sums_at(s)[: n + 1]))
         if lhs == rhs:
             return None
         return f"shift law fails at n={n}, s={s}: lhs={lhs}, rhs={rhs}"
@@ -267,9 +320,7 @@ class FirstKindContext:
         w2 = self.second.row(n)
         for alternating, kind in ((False, "first"), (True, "second")):
             sums = self.alternating_sums if alternating else self.sums
-            lhs = ZERO
-            for k, w in enumerate(w2):
-                lhs = lhs.add_mul(w, sums[k])
+            lhs = BiPoly.sum_of_products(zip(w2, sums))
             if lhs != BiPoly.const(Fraction((-1) ** n if alternating else 1, n + 1)):
                 return f"{kind}-kind inversion fails at n={n}: got {lhs}"
         return None
@@ -277,9 +328,10 @@ class FirstKindContext:
     def cheon_failure(self, n: int, s: Fraction) -> str | None:
         """The entrywise shift law at n and s; see ``cheon_counterexample``."""
         at_s = self.rows_at(s)
+        weights = self.weights(n)
         for k, w_nk in enumerate(self.first.row(n)):
             lhs = w_nk.subst_r(1, s)
-            rhs = shift_sum(n, self.rise, ((j, at_s[j][k]) for j in range(k, n + 1)))
+            rhs = shift_sum(weights, ((j, at_s[j][k]) for j in range(k, n + 1)))
             if lhs != rhs:
                 return f"triangle shift law fails at n={n}, k={k}, s={s}: lhs={lhs}, rhs={rhs}"
         return None
@@ -287,7 +339,7 @@ class FirstKindContext:
     def classical_failure(self, n: int) -> str | None:
         """The q = 1 shift law at n; see ``classical_shift_counterexample``."""
         lhs = self.sums[n].subst_q(0, 1)
-        rhs = shift_sum(n, self.classical_rise, enumerate(self.classical_numbers[: n + 1]))
+        rhs = shift_sum(self.weights(n, classical=True), enumerate(self.classical_numbers[: n + 1]))
         if lhs == rhs:
             return None
         return f"classical shift law fails at n={n}: lhs={lhs}, rhs={rhs}"

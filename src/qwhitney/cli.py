@@ -55,7 +55,8 @@ MAX_SYMBOLIC_SIZE = 200
 MAX_EVAL_SIZE = 2000
 
 # Largest --n-max of verify: the symbolic suites grow like n^4, and verify
-# --suite all ends in about 43 s at n = 48 and 65 s at n = 52 (README).
+# --suite all ends in about 4 s at n = 32, 9 s at n = 40 and 19 s at n = 48
+# (README).
 MAX_VERIFY_SIZE = 48
 
 # Largest size times digits of an --eval point q = A/D, r = C/D over the

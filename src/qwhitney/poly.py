@@ -6,10 +6,13 @@ exponent pairs ``(dq, dr)`` to nonzero ``int`` numerators, plus one
 r-Whitney numbers have integer coefficients, and the Cauchy weights 1/(k+1)
 only add a denominator), so the ring operations run on Python ints and
 normalize once per result instead of once per coefficient.  They run on
-one multiply-accumulate, ``add_mul``, self + m*y in one numerator map;
-``+`` and ``*`` are its special cases, and every x + m*y loop of the
-package (the triangle row step, the ``Series`` products, the shift-law
-sums) calls it, so no product is built only to be added.  ``Fraction``
+one multiply-accumulate kernel, ``_accumulate``, which adds a product into
+a numerator map.  ``add_mul`` is self + m*y through it, and ``+`` and ``*``
+are its special cases; the triangle row step calls it.  Every longer sum
+of products (a ``Series`` product coefficient, a step of ``exp``, a
+shift-law sum, the inversion and orthogonality sums) is one
+``sum_of_products``: all its terms in one map, normalized once, so no
+product or partial sum is built only to be added.  ``Fraction``
 appears only at the boundary: the constructor takes ``Fraction``/``int``
 maps, and ``coeff``, ``const_value``, ``sorted_terms``, ``eval_at`` and
 ``to_records`` hand back reduced rationals.
@@ -182,12 +185,18 @@ class BiPoly:
             mine = den // self._den
             out = {key: c * mine for key, c in self._terms.items()}
             lift = den // prod_den
-        ys = y._terms.items()
-        for (aq, ar), ca in m._terms.items():
-            ca *= lift
-            for (bq, br), cb in ys:
-                key = (aq + bq, ar + br)
-                out[key] = out.get(key, 0) + ca * cb
+        _accumulate(out, m, y, lift)
+        return BiPoly._of(out, den)
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable[tuple[BiPoly, BiPoly | Fraction | int]]) -> BiPoly:
+        """The sum of m*y over the pairs (m, y), with the kernel of ``add_mul``: every
+        product goes into one numerator map over one common denominator, normalized once."""
+        pairs = [(m, y if isinstance(y, BiPoly) else BiPoly.const(y)) for m, y in pairs]
+        den = lcm(*(m._den * y._den for m, y in pairs))
+        out: dict[Key, int] = {}
+        for m, y in pairs:
+            _accumulate(out, m, y, den // (m._den * y._den))
         return BiPoly._of(out, den)
 
     def scale(self, c: Fraction | int) -> BiPoly:
@@ -279,6 +288,16 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()!r})"
+
+
+def _accumulate(out: dict[Key, int], m: BiPoly, y: BiPoly, lift: int) -> None:
+    """Add lift * m * y, over the numerators of m and y, into the numerator map out."""
+    ys = y._terms.items()
+    for (aq, ar), ca in m._terms.items():
+        ca *= lift
+        for (bq, br), cb in ys:
+            key = (aq + bq, ar + br)
+            out[key] = out.get(key, 0) + ca * cb
 
 
 def _nonzero(terms: dict[Key, int], den: int) -> tuple[dict[Key, int], int]:

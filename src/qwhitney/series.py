@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
 from .poly import ONE, R, ZERO, BiPoly
 
@@ -83,12 +84,13 @@ class Series:
     def __mul__(self, other: Series) -> Series:
         self._check_order(other)
         n = self._order
-        out = [ZERO] * (n + 1)
+        pairs: list[list[tuple[BiPoly, BiPoly]]] = [[] for _ in range(n + 1)]
         for i, a in enumerate(self._coeffs):
             if not a.is_zero():
                 for j, b in enumerate(other._coeffs[: n + 1 - i]):
-                    out[i + j] = out[i + j].add_mul(a, b)
-        return Series(n, tuple(out))
+                    if not b.is_zero():
+                        pairs[i + j].append((a, b))
+        return Series(n, tuple(BiPoly.sum_of_products(ps) for ps in pairs))
 
     def scale(self, c: BiPoly | Fraction | int) -> Series:
         if isinstance(c, BiPoly):
@@ -124,11 +126,8 @@ class Series:
         weighted = [a.scale(j) for j, a in enumerate(self._coeffs)]  # j * a_j
         out = [ONE]
         for m in range(1, self._order + 1):
-            acc = ZERO
-            for j in range(1, m + 1):
-                if not weighted[j].is_zero():
-                    acc = acc.add_mul(weighted[j], out[m - j])
-            out.append(acc.scale(Fraction(1, m)))
+            pairs = [(weighted[j], out[m - j]) for j in range(1, m + 1) if not weighted[j].is_zero()]
+            out.append(BiPoly.sum_of_products(pairs).scale(Fraction(1, m)))
         return Series(self._order, tuple(out))
 
     def __repr__(self) -> str:
@@ -167,17 +166,34 @@ def expm1_div(s: Series) -> Series:
     return total
 
 
+def _column_factors(k_max: int, order: int) -> Iterator[Series]:
+    """L^k / k! for k = 0..k_max, each the one before times L / k.
+
+    Every coefficient of L^k is a single power of q, so each step is cheap.
+    """
+    L = log1p_qt_over_q(order)
+    power = Series.one(order)
+    yield power
+    for k in range(1, k_max + 1):
+        power = (power * L).scale(Fraction(1, k))
+        yield power
+
+
+def whitney_column_egfs(order: int) -> Iterator[Series]:
+    """The column EGFs k = 0..order of the first-kind triangle, one at a time,
+    over one (1+q*t)^(-r/q): column k is that times L^k / k!."""
+    base = binomial_power(-R, order)
+    return (base * power for power in _column_factors(order, order))
+
+
 def whitney_column_egf(k: int, order: int) -> Series:
     """EGF of column k of the first-kind triangle: (1+q*t)^(-r/q) * L^k / k!."""
     if k < 0:
         raise ValueError("column index must be nonnegative")
     if k > order:
         return Series.zero(order)  # L has no constant term, so L^k starts at t^k
-    L = log1p_qt_over_q(order)
-    power = Series.one(order)
-    for _ in range(k):
-        power = power * L
-    return binomial_power(-R, order) * power.scale(Fraction(1, factorial(k)))
+    *_, power = _column_factors(k, order)
+    return binomial_power(-R, order) * power
 
 
 def cauchy_first_egf(order: int) -> Series:

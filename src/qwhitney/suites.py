@@ -30,7 +30,10 @@ substituted rows that the Cauchy polynomials and the shift laws read.
 The context holds results only: the oracles they are checked against
 (the integrals, the Stirling closed forms, the q-numbers and the
 generating functions) are built by their own code paths and never read
-it.
+it.  Each oracle is built in one pass per suite, for n = 0..n_max in
+turn: the integrals of each kind over one growing product, the Stirling
+sums and the closed-form rows over one rising-factorial list, and the
+column EGFs over one (1 + qt)^(-r/q).
 """
 
 from __future__ import annotations
@@ -67,18 +70,20 @@ def _equal(got: BiPoly, want: BiPoly, context: str) -> str | None:
 
 
 def _suite_first_kind_oracle(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    for n in range(ctx.n_max + 1):
+    integrals = cauchy.cauchy_first_integrals(ctx.n_max)
+    stirling = cauchy.cauchy_first_stirling_sums(ctx.n_max)
+    for n, (integral, stirling_sum) in enumerate(zip(integrals, stirling)):
         p = ctx.sums[n]
-        yield _equal(p, cauchy.cauchy_first_integral(n), f"first kind vs integral, n={n}")
-        yield _equal(p, cauchy.cauchy_first_via_stirling(n), f"first kind vs Stirling sum, n={n}")
+        yield _equal(p, integral, f"first kind vs integral, n={n}")
+        yield _equal(p, stirling_sum, f"first kind vs Stirling sum, n={n}")
         yield _check(p.r_degree() == n, f"first kind r-degree, n={n}: got {p.r_degree()}")
         yield _equal(p.r_coefficient(n), BiPoly.const((-1) ** n), f"first kind r-leading, n={n}")
 
 
 def _suite_second_kind_oracle(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    for n in range(ctx.n_max + 1):
+    for n, integral in enumerate(cauchy.cauchy_second_integrals(ctx.n_max)):
         p = ctx.second_sums[n]
-        yield _equal(p, cauchy.cauchy_second_integral(n), f"second kind vs integral, n={n}")
+        yield _equal(p, integral, f"second kind vs integral, n={n}")
         yield _check(p.r_degree() == n, f"second kind r-degree, n={n}: got {p.r_degree()}")
         yield _equal(p.r_coefficient(n), ONE, f"second kind r-leading, n={n}")
         dual = ctx.sums[n].subst_q(-1, 0).scale((-1) ** n)
@@ -87,21 +92,21 @@ def _suite_second_kind_oracle(ctx: FirstKindContext, shifts: tuple[Fraction, ...
 
 def _suite_egf(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
     order = ctx.n_max
-    first = series.cauchy_first_egf(order)
+    # The number EGF, which the r = 0 check below reads again.
+    plain = series.expm1_div(series.log1p_qt_over_q(order))
+    first = series.binomial_power(-R, order) * plain
     second = series.cauchy_second_egf(order)
     for n in range(order + 1):
         yield _equal(series.egf_term(first, n), ctx.sums[n], f"first-kind EGF term, n={n}")
         yield _equal(series.egf_term(second, n), ctx.second_sums[n], f"second-kind EGF term, n={n}")
     tri = ctx.first
-    for k in range(order + 1):
-        column = series.whitney_column_egf(k, order)
+    for k, column in enumerate(series.whitney_column_egfs(order)):
         for n in range(order + 1):
             yield _equal(
                 series.egf_term(column, n),
                 tri.entry(n, k) if k <= n else ZERO,
                 f"column EGF term, n={n}, k={k}",
             )
-    plain = series.expm1_div(series.log1p_qt_over_q(order))
     for n in range(order + 1):
         yield _equal(
             first.coeff(n).subst_r(0, 0),
@@ -121,9 +126,7 @@ def _suite_orthogonality(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) ->
         yield _equal(w1.entry(n, n), ONE, f"first-kind diagonal, n={n}")
         yield _equal(w2.entry(n, n), ONE, f"second-kind diagonal, n={n}")
         for k in range(n + 1):
-            total = ZERO
-            for j in range(k, n + 1):
-                total = total.add_mul(w2.entry(n, j), w1.entry(j, k))
+            total = BiPoly.sum_of_products((w2.entry(n, j), w1.entry(j, k)) for j in range(k, n + 1))
             yield _equal(total, ONE if k == n else ZERO, f"orthogonality sum, n={n}, k={k}")
         row = w1.row_poly(n)
         for j in range(n):
@@ -143,13 +146,9 @@ def _suite_shift(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcom
 def _suite_cheon(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
     yield from (ctx.cheon_failure(n, s) for n in range(ctx.n_max + 1) for s in shifts)
     tri = ctx.first
-    for n in range(ctx.n_max + 1):
-        for k in range(n + 1):
-            yield _equal(
-                triangles.whitney_first_cheon(n, k),
-                tri.entry(n, k),
-                f"closed form vs recurrence, n={n}, k={k}",
-            )
+    for n, row in enumerate(triangles.whitney_first_cheon_rows(ctx.n_max)):
+        for k, w in enumerate(row):
+            yield _equal(w, tri.entry(n, k), f"closed form vs recurrence, n={n}, k={k}")
 
 
 def _suite_reductions(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
@@ -201,16 +200,17 @@ def _suite_reductions(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _O
 
 
 def _suite_classical(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    for n in range(ctx.n_max + 1):
+    integrals = zip(cauchy.cauchy_first_integrals(ctx.n_max), cauchy.cauchy_second_integrals(ctx.n_max))
+    for n, (first_integral, second_integral) in enumerate(integrals):
         yield ctx.classical_failure(n)
         got_first = cauchy.cauchy_number(CauchyKind.FIRST, n)
         got_second = cauchy.cauchy_number(CauchyKind.SECOND, n)
         yield _check(
-            got_first == cauchy.cauchy_first_integral(n).eval_at(1, 0),
+            got_first == first_integral.eval_at(1, 0),
             f"classical first-kind number vs integral, n={n}: got {got_first}",
         )
         yield _check(
-            got_second == cauchy.cauchy_second_integral(n).eval_at(1, 0),
+            got_second == second_integral.eval_at(1, 0),
             f"classical second-kind number vs integral, n={n}: got {got_second}",
         )
 

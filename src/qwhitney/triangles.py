@@ -34,8 +34,9 @@ one first-kind entry from the closed double-sum form
 
 with [r|q]_m the rising factorial r * (r + q) * ... * (r + (m-1)q) and
 s(i, k) the signed Stirling numbers.  Since q^(i-k) s(i, k) is w(i, k) at
-r = 0, this is the shift law taken from r = 0: ``shift_sum`` forms it from
-one list of rising factorials, made by ``rising_factorials``.
+r = 0, this is the shift law taken from r = 0: ``shift_sum`` forms it over
+the ``shift_weights`` of n, made from one list of rising factorials.
+``whitney_first_cheon_rows`` gives every row up to n_max over one such list.
 """
 
 from __future__ import annotations
@@ -347,17 +348,19 @@ def rising_factorials(n: int, y: BiPoly = R, step: BiPoly = Q) -> list[BiPoly]:
     return rise
 
 
-def shift_sum(n: int, rise: list[BiPoly], terms) -> BiPoly:
-    """sum_j (-1)^(n-j) C(n, j) rise[n-j] v_j over the pairs (j, v_j) in terms.
+def shift_weights(n: int, rise: list[BiPoly]) -> list[BiPoly]:
+    """(-1)^(n-j) C(n, j) rise[n-j] for j = 0..n, with rise[m] = [r|step]_m for m <= n."""
+    return [rise[n - j].scale(binomial(n, j) * (-1) ** (n - j)) for j in range(n + 1)]
 
-    The right side of each shift law, with rise[m] = [r|step]_m.  v_j is a
-    polynomial or a number; a caller leaves out the pairs whose v_j is
-    known to be zero.
+
+def shift_sum(weights: list[BiPoly], terms) -> BiPoly:
+    """sum_j weights[j] v_j over the pairs (j, v_j) in terms.
+
+    The right side of each shift law, with ``shift_weights`` for its n.
+    v_j is a polynomial or a number; a caller leaves out the pairs whose v_j
+    is known to be zero.
     """
-    total = ZERO
-    for j, v in terms:
-        total = total.add_mul(rise[n - j], v * (binomial(n, j) * (-1) ** (n - j)))
-    return total
+    return BiPoly.sum_of_products((weights[j], v) for j, v in terms)
 
 
 def falling_factorial_x(m: int) -> Series:
@@ -397,8 +400,18 @@ def whitney_first_cheon(n: int, k: int) -> BiPoly:
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    return shift_sum(
-        n,
-        rising_factorials(n - k),
-        ((i, BiPoly({(i - k, 0): stirling_first_row(i)[k]})) for i in range(k, n + 1)),
-    )
+    return _cheon_entry(shift_weights(n, rising_factorials(n)), n, k)
+
+
+def whitney_first_cheon_rows(n_max: int) -> Iterator[list[BiPoly]]:
+    """Rows 0..n_max of ``whitney_first_cheon``, over one rising-factorial list
+    and one list of shift weights per row."""
+    rise = rising_factorials(n_max)
+    for n in range(n_max + 1):
+        weights = shift_weights(n, rise)
+        yield [_cheon_entry(weights, n, k) for k in range(n + 1)]
+
+
+def _cheon_entry(weights: list[BiPoly], n: int, k: int) -> BiPoly:
+    terms = ((i, BiPoly({(i - k, 0): stirling_first_row(i)[k]})) for i in range(k, n + 1))
+    return shift_sum(weights, terms)

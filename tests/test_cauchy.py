@@ -1,6 +1,7 @@
 from decimal import Decimal
 from fractions import Fraction as F
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import example, given
@@ -10,11 +11,14 @@ from qwhitney.cauchy import (
     CauchyKind,
     cauchy_first,
     cauchy_first_integral,
+    cauchy_first_integrals,
+    cauchy_first_stirling_sums,
     cauchy_first_via_stirling,
     cauchy_number,
     cauchy_poly,
     cauchy_second,
     cauchy_second_integral,
+    cauchy_second_integrals,
     cauchy_value,
     cheon_counterexample,
     classical_shift_counterexample,
@@ -23,10 +27,13 @@ from qwhitney.cauchy import (
     shift_counterexample,
 )
 from qwhitney.poly import ONE, Q, R, BiPoly
+from qwhitney.series import Series
 from qwhitney.suites import run_suite
 from qwhitney.triangles import (
     TriangleKind,
     decimal_rows,
+    falling_factorial_x,
+    rising_factorials,
     scaled_rows,
     whitney_first_values,
     whitney_second,
@@ -75,6 +82,29 @@ class TestOracleAgreement:
         assert cauchy_first_via_stirling(0) == ONE
         assert cauchy_first_via_stirling(1) == -R + BiPoly.const(F(1, 2))
 
+    @given(st.integers(0, 10))
+    def test_one_pass_lists_match_their_definitions(self, n_max):
+        first, second = [], []
+        for n in range(n_max + 1):
+            first.append(falling_factorial_x(n).integrate01())  # (x - r | q)_n over [0, 1]
+            product = Series.one(n)
+            for j in range(n):
+                product = product.mul_linear(-1, R - Q.scale(j))  # (-x + r | q)_n
+            second.append(product.integrate01())
+        assert list(cauchy_first_integrals(n_max)) == first
+        assert list(cauchy_second_integrals(n_max)) == second
+        rise = rising_factorials(n_max)
+        stirling = [
+            sum(
+                (rise[n - i] * q_cauchy_number(CauchyKind.FIRST, i).scale(comb(n, i) * (-1) ** (n - i))
+                 for i in range(n + 1)),
+                BiPoly(),
+            )
+            for n in range(n_max + 1)
+        ]
+        assert list(cauchy_first_stirling_sums(n_max)) == stirling
+        assert [cauchy_first_via_stirling(n) for n in range(n_max + 1)] == stirling
+
     def test_negative_index_rejected(self):
         for fn in (
             cauchy_first,
@@ -82,6 +112,9 @@ class TestOracleAgreement:
             cauchy_first_integral,
             cauchy_second_integral,
             cauchy_first_via_stirling,
+            cauchy_first_integrals,
+            cauchy_second_integrals,
+            cauchy_first_stirling_sums,
         ):
             with pytest.raises(ValueError):
                 fn(-1)

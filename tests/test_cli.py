@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import subprocess
 import sys
@@ -358,7 +359,25 @@ def _assert_eval_triangle_bytes(capsys, kind, point, fmt, n_max):
     )
     assert code == 0, err
     with no_digit_limit():
-        assert out == _reference_eval_triangle(kind, n_max, point, fmt)
+        want = _reference_eval_triangle(kind, n_max, point, fmt)
+    _assert_same_text(out, want)
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want exactly.  A failure reports the lengths, the sha256 digests and
+    the first differing offset, and not a diff of two texts of up to 80 rows."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    pytest.fail(
+        f"output differs: length {len(got)}, want {len(want)}; "
+        f"sha256 {_sha256(got)}, want {_sha256(want)}; "
+        f"first difference at offset {at}: {got[at : at + 60]!r}, want {want[at : at + 60]!r}"
+    )
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 _EVAL_POINTS = (

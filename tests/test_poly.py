@@ -247,6 +247,20 @@ class TestAgainstFractionReference:
         for got, want in cases:
             assert_matches(got, want)
 
+    @given(st.lists(st.tuples(term_maps, term_maps | points), max_size=5))
+    @example([])
+    # r/2 * 1 + r/3 * 1 - (5/6) * r: three denominators that cancel to zero
+    @example([({(0, 1): F(1, 2)}, 1), ({(0, 1): F(1, 3)}, 1), ({(0, 1): F(-5, 6)}, 1)])
+    # a number as y, as the classical shift-law sum takes it
+    @example([({(1, 0): 2, (0, 1): F(1, 7)}, F(-3, 4)), ({(0, 0): F(1, 2)}, {(1, 1): F(2, 3)})])
+    def test_sum_of_products(self, pairs):
+        want = {}
+        for tm, y in pairs:
+            want = _ref_add(want, _ref_mul(_ref_clean(tm), _ref_clean(y) if isinstance(y, dict) else {(0, 0): y}))
+        args = [(BiPoly(tm), BiPoly(y) if isinstance(y, dict) else y) for tm, y in pairs]
+        assert_matches(BiPoly.sum_of_products(args), want)
+        assert_matches(BiPoly.sum_of_products(iter(args)), want)
+
     @given(term_maps, points, points, exponents)
     @example({(0, 1): F(1, 2), (1, 1): F(1, 2), (2, 0): F(1, 3)}, F(-1, 2), F(2, 3), (1, 1))
     def test_readouts(self, ta, q0, r0, key):

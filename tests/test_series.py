@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qwhitney.poly import ONE, Q, R, ZERO, BiPoly
@@ -15,10 +15,11 @@ from qwhitney.series import (
     expm1_div,
     log1p_qt_over_q,
     whitney_column_egf,
+    whitney_column_egfs,
 )
 
 from _golden import FIRST_KIND, SECOND_KIND
-from test_poly import bipolys
+from test_poly import _ref_add, _ref_mul, assert_matches, bipolys
 
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -52,6 +53,18 @@ class TestSeriesArithmetic:
             Series.one(2) * Series.one(3)
         with pytest.raises(ValueError):
             Series.one(2) + Series.one(3)
+
+    @given(st.lists(small_polys | st.just(ZERO), min_size=5, max_size=5),
+           st.lists(small_polys | st.just(ZERO), min_size=5, max_size=5))
+    @example([ONE, ZERO, R, ZERO, Q], [ZERO, Q, ZERO, ZERO, R * Q])  # interior zeros on both sides
+    @example([ZERO, ZERO, ZERO, ZERO, ONE], [R, ZERO, ZERO, ZERO, ZERO])
+    def test_product_matches_the_fraction_reference(self, a, b):
+        got = Series(4, a) * Series(4, b)
+        for m in range(5):
+            want = {}
+            for i in range(m + 1):
+                want = _ref_add(want, _ref_mul(dict(a[i].sorted_terms()), dict(b[m - i].sorted_terms())))
+            assert_matches(got.coeff(m), want)
 
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
@@ -167,6 +180,18 @@ class TestGeneratingFunctions:
         assert egf_term(whitney_column_egf(0, 2), 1) == -R
         with pytest.raises(ValueError):
             whitney_column_egf(-1, 2)
+
+    @given(st.integers(0, 10))
+    def test_columns_in_one_pass_match_each_column(self, order):
+        L = log1p_qt_over_q(order)
+        base = binomial_power(-R, order)
+        power = Series.one(order)
+        want = []
+        for k in range(order + 1):
+            want.append(base * power.scale(F(1, factorial(k))))  # (1+q*t)^(-r/q) * L^k / k!
+            power = power * L
+        assert list(whitney_column_egfs(order)) == want
+        assert [whitney_column_egf(k, order) for k in range(order + 1)] == want
 
     def test_column_egf_beyond_the_order_is_zero(self):
         for k in (4, 5, 10**9):

@@ -62,8 +62,8 @@ def test_verify_all_prints_the_readme_lines(capsys):
 
 
 def test_wrong_integral_fails_the_first_kind_oracle(capsys, monkeypatch):
-    real = cauchy_mod.cauchy_first_integral
-    monkeypatch.setattr(cauchy_mod, "cauchy_first_integral", lambda n: real(n) + ONE)
+    real = cauchy_mod.cauchy_first_integrals
+    monkeypatch.setattr(cauchy_mod, "cauchy_first_integrals", lambda n_max: (p + ONE for p in real(n_max)))
     code, out, err = run_cli(capsys, "verify", "--suite", "first-kind-oracle", "--n-max", "2")
     assert code == 1
     assert out == "suite first-kind-oracle: FAIL (3 of 12 checks)\n"

@@ -19,11 +19,14 @@ from qwhitney.triangles import (
     rising_factorial,
     rising_factorials,
     scaled_rows,
+    shift_sum,
+    shift_weights,
     stirling_first,
     stirling_first_row,
     triangle,
     whitney_first,
     whitney_first_cheon,
+    whitney_first_cheon_rows,
     whitney_first_values,
     whitney_second,
     whitney_second_values,
@@ -216,12 +219,38 @@ class TestFactorialProducts:
             falling_factorial_x(-2)
 
 
+# Values v_j of a shift-law sum: polynomials in q alone, as c_j(s) and w_s(j, k)
+# are, or rationals, as the classical numbers are.
+q_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.just(0)), points, max_size=3).map(BiPoly)
+shift_values = q_polys | points
+
+
+class TestShiftSum:
+    @given(st.integers(0, 10), st.sampled_from([Q, ONE]), st.data())
+    def test_weights_give_the_term_by_term_sum(self, n, step, data):
+        rise = rising_factorials(n, step=step)
+        values = data.draw(st.lists(shift_values, min_size=n + 1, max_size=n + 1))
+        kept = data.draw(st.sets(st.integers(0, n)))
+        weights = shift_weights(n, rise)
+        assert len(weights) == n + 1
+        # sum_j (-1)^(n-j) C(n, j) rise[n-j] v_j over the kept j
+        want = ZERO
+        for j in sorted(kept):
+            want = want + rise[n - j] * (values[j] * (comb(n, j) * (-1) ** (n - j)))
+        assert shift_sum(weights, ((j, values[j]) for j in sorted(kept))) == want
+
+
 class TestCheonForm:
     def test_matches_recurrence(self):
         tri = whitney_first(7)
         for n in range(8):
             for k in range(n + 1):
                 assert whitney_first_cheon(n, k) == tri.entry(n, k)
+
+    @given(st.integers(0, 10))
+    def test_rows_in_one_pass_match_each_entry(self, n_max):
+        want = [[whitney_first_cheon(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
+        assert list(whitney_first_cheon_rows(n_max)) == want
 
     def test_out_of_range_is_zero(self):
         assert whitney_first_cheon(2, 5) == ZERO
