@@ -88,7 +88,7 @@ def _row_sum(row: tuple[BiPoly, ...], alternating: bool) -> BiPoly:
     in one numerator map over one denominator (lcm(1..n+1) for a triangle row), normalized
     once.  It shares no code with ``Series.integrate01``, the oracle side."""
     den = lcm(*((k + 1) * w_nk._den for k, w_nk in enumerate(row)))
-    out: dict[tuple[int, int], int] = {}
+    out: dict[int, int] = {}  # numerators by packed exponent key, as in BiPoly
     for k, w_nk in enumerate(row):
         lift = den // ((k + 1) * w_nk._den)
         if alternating and k % 2:

@@ -24,20 +24,29 @@ any work starts.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import suites
-from .cauchy import CauchyKind, cauchy_poly, cauchy_value
 from .poly import BiPoly, common_denominator
-from .series import Series, cauchy_first_egf, cauchy_second_egf, whitney_column_egf
-from .triangles import TriangleKind, decimal_rows, triangle
+
+# json, and the modules of the triangles, the Cauchy polynomials, the series
+# and the verification suites, are imported by the subcommands that use
+# them, so that a job loads only what it runs.
 
 FORMATS = ("text", "json", "csv", "latex")
+
+# The --kind choices of triangle and the --suite choices of verify: the
+# values of triangles.TriangleKind and what suites.suite_names() returns
+# (tests pin them equal), as constants, so that building the parser imports
+# neither module.
+TRIANGLE_KINDS = ("w", "W", "s", "sr")
+SUITE_NAMES = (
+    "first-kind-oracle", "second-kind-oracle", "egf", "inversion", "orthogonality",
+    "shift", "cheon", "reductions", "classical", "all",
+)
 
 _MAX_REPORTED_FAILURES = 20
 
@@ -137,6 +146,8 @@ def _poly_str(p: BiPoly, fmt: str) -> str:
 
 
 def _json_dump(obj) -> str:
+    import json
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -194,6 +205,8 @@ def _eval_rows(values, fmt: str):
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
+    from .triangles import TriangleKind, decimal_rows, triangle
+
     kind = args.kind
     if args.r0 is not None and kind != "sr":
         raise UsageError("--r0 only applies to --kind sr")
@@ -240,6 +253,8 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 
 def _cmd_cauchy(args: argparse.Namespace) -> int:
+    from .cauchy import CauchyKind, cauchy_poly, cauchy_value
+
     kind = CauchyKind(args.kind)
     fmt = args.format
 
@@ -273,10 +288,12 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
 
 
 def _cmd_egf(args: argparse.Namespace) -> int:
+    from .series import cauchy_first_egf, cauchy_second_egf, whitney_column_egf
+
     which, column = args.which
     order = args.order
     if which == "c":
-        s: Series = cauchy_first_egf(order)
+        s = cauchy_first_egf(order)
         kind_str = "c"
     elif which == "chat":
         s = cauchy_second_egf(order)
@@ -300,7 +317,9 @@ def _cmd_egf(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = suites.run_suite(args.suite, args.n_max, args.shift_values)
+    from .suites import run_suite
+
+    results = run_suite(args.suite, args.n_max, args.shift_values)
     all_passed = True
     for result in results:
         if result.passed:
@@ -324,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tri = sub.add_parser("triangle", help="generate a triangle of connection coefficients")
-    p_tri.add_argument("--kind", required=True, choices=tuple(k.value for k in TriangleKind))
+    p_tri.add_argument("--kind", required=True, choices=TRIANGLE_KINDS)
     p_tri.add_argument("--n-max", required=True, type=_parse_nonneg)
     p_tri.add_argument("--r0", type=_parse_nonneg, default=None, help="shift for --kind sr (default 0)")
     p_tri.add_argument("--eval", type=_parse_eval, default=None, metavar="q=RAT,r=RAT")
@@ -345,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_egf.set_defaults(run=_cmd_egf)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
-    p_ver.add_argument("--suite", required=True, choices=suites.suite_names())
+    p_ver.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_ver.add_argument("--n-max", required=True, type=_parse_nonneg)
     p_ver.add_argument("--shift-values", type=_parse_shifts, default=None, metavar="RAT,RAT,...")
     p_ver.set_defaults(run=_cmd_verify)

@@ -327,6 +327,43 @@ class TestLargeAndInterruptedOutput:
         assert code == 130
 
 
+class TestImportsPerCommand:
+    """A job imports only what its command runs: start-up is most of a small job's time."""
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (("triangle", "--kind", "w", "--n-max", "3"), ("qwhitney.cauchy", "qwhitney.suites", "json")),
+            (("verify", "--suite", "shift", "--n-max", "2"), ("json",)),
+            (("egf", "--which", "c", "--order", "3"), ("qwhitney.triangles", "qwhitney.cauchy", "json")),
+        ],
+    )
+    def test_modules_left_unimported(self, argv, absent):
+        # python -m qwhitney ARGV, then the names of absent found in sys.modules;
+        # -S keeps site (and whatever a .pth file imports) out of the count
+        code = "\n".join([
+            "import runpy, sys",
+            f"sys.argv = ['qwhitney', *{list(argv)!r}]",
+            "try:",
+            "    runpy.run_module('qwhitney', run_name='__main__', alter_sys=True)",
+            "except SystemExit as exc:",
+            "    assert exc.code == 0, exc.code",
+            f"print(sorted(set({list(absent)!r}) & set(sys.modules)), file=sys.stderr)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
+
+    def test_choices_are_the_kinds_and_suite_names(self):
+        from qwhitney.cli import SUITE_NAMES, TRIANGLE_KINDS
+        from qwhitney.suites import suite_names
+
+        assert TRIANGLE_KINDS == tuple(kind.value for kind in TriangleKind)
+        assert SUITE_NAMES == suite_names()
+
+
 def _reference_eval_triangle(kind: str, n_max: int, point: str, fmt: str, r0: int = 2) -> str:
     """``triangle --eval`` output rendered from Fractions, with an f-string
     per cell and json.dumps, independently of the command's own writer."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _reference_render import reference_render
 from qwhitney import ONE, Q, R, ZERO, BiPoly
+from qwhitney.poly import MAX_DEGREE
 
 coefficients = st.fractions(
     min_value=F(-20), max_value=F(20), max_denominator=12
@@ -56,6 +57,37 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             BiPoly({(-1, 0): F(1)})
 
+    @pytest.mark.parametrize("key", [(1.5, 0), (0, 2.0), (F(1), 0), ("1", 0), (None, 1)])
+    def test_non_int_exponents_rejected(self, key):
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            BiPoly({key: F(1)})
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            BiPoly.from_records([{"dq": key[0], "dr": key[1], "num": 1, "den": 1}])
+
+    @pytest.mark.parametrize("key", [(MAX_DEGREE + 1, 0), (0, MAX_DEGREE + 1), (MAX_DEGREE, 1), (10**40, 0)])
+    def test_exponents_past_the_limit_rejected(self, key):
+        with pytest.raises(OverflowError):
+            BiPoly({key: F(1)})
+        with pytest.raises(OverflowError):
+            BiPoly.from_records([{"dq": key[0], "dr": key[1], "num": 1, "den": 1}])
+        assert BiPoly({(MAX_DEGREE - 1, 1): 3}).coeff(MAX_DEGREE - 1, 1) == 3
+
+    @pytest.mark.parametrize(
+        "dq, dr",
+        [
+            (-1, 1), (1, -1), (-1, 0), (0, -1),
+            (MAX_DEGREE + 1, 0), (0, MAX_DEGREE + 1), (MAX_DEGREE, 1), (2**40, 2**40),
+            # pairs whose fields, packed without a range check, would alias a
+            # stored key: r, q, 1 and r*q
+            (-(MAX_DEGREE + 1), MAX_DEGREE + 2), (MAX_DEGREE + 2, -(MAX_DEGREE + 1)),
+            (2 * (MAX_DEGREE + 1), -(MAX_DEGREE + 1) * 2), (-MAX_DEGREE, MAX_DEGREE + 3),
+        ],
+    )
+    def test_coefficients_outside_the_packed_range_are_zero(self, dq, dr):
+        p = ONE + Q + R + Q * R + BiPoly({(MAX_DEGREE, 0): 5, (0, MAX_DEGREE): 7})
+        assert p.coeff(dq, dr) == 0
+        assert (p.coeff(1, 1), p.coeff(MAX_DEGREE, 0), p.coeff(0, MAX_DEGREE)) == (1, 5, 7)
+
     @given(bipolys, bipolys, points, points, points)
     @example(R + Q, -(R + Q), F(0), F(0), F(1))  # a + b cancels; zero scale and multiplier
     @example(R + Q, R - Q, F(2), F(-1, 2), F(0))  # a * b cancels q*r
@@ -89,6 +121,25 @@ class TestRingOps:
         assert (R + Q) ** 0 == ONE
         with pytest.raises(ValueError):
             (R + Q) ** -1
+
+    @pytest.mark.parametrize("key", [(MAX_DEGREE, 0), (0, MAX_DEGREE), (1, MAX_DEGREE - 1), (0, MAX_DEGREE // 2 + 1)])
+    def test_square_past_the_limit_overflows(self, key):
+        # r^(2^14) squared would carry the r-degree field into the total degree
+        p = BiPoly({key: 1})
+        with pytest.raises(OverflowError):
+            p * p
+        with pytest.raises(OverflowError):
+            ZERO.add_mul(p, p + ONE)
+        with pytest.raises(OverflowError):
+            BiPoly.sum_of_products([(ONE, ONE), (p, p)])
+
+    def test_products_up_to_the_limit(self):
+        half = BiPoly({(0, MAX_DEGREE // 2): 2})
+        top = half * (half + Q) * R
+        assert top.sorted_terms() == [((0, MAX_DEGREE), F(4)), ((1, MAX_DEGREE // 2 + 1), F(2))]
+        assert top.r_degree() == MAX_DEGREE
+        assert top.r_coefficient(MAX_DEGREE) == BiPoly.const(4)
+        assert top.r_coefficient(MAX_DEGREE // 2 + 1) == Q.scale(2)
 
     @given(bipolys, bipolys)
     def test_commutativity(self, a, b):
@@ -279,6 +330,76 @@ class TestAgainstFractionReference:
         a = _ref_clean(ta)
         assert_matches(BiPoly(ta).subst_q(s, 0), _ref_scale_by_power(a, 0, s))
         assert_matches(BiPoly(ta).subst_r(s, 0), _ref_scale_by_power(a, 1, s))
+
+
+# Exponent pairs whose total degree reaches the packing field's limit, with
+# totals near 0, near MAX_DEGREE / 2 (whose products straddle the limit) and
+# near MAX_DEGREE.
+_wide_totals = st.one_of(
+    st.integers(0, 3),
+    st.integers(MAX_DEGREE // 2 - 2, MAX_DEGREE // 2 + 2),
+    st.integers(MAX_DEGREE - 3, MAX_DEGREE),
+)
+wide_exponents = _wide_totals.flatmap(lambda t: st.integers(0, t).map(lambda dr: (t - dr, dr)))
+wide_term_maps = st.dictionaries(wide_exponents, coefficients, max_size=4)
+
+
+def _top(a):
+    return max((dq + dr for dq, dr in a), default=0)
+
+
+def _ref_subst_const(a, var, t):
+    """The variable at key position var replaced by the number t."""
+    out = {}
+    for key, c in a.items():
+        key_0 = (key[0], 0) if var else (0, key[1])
+        out[key_0] = out.get(key_0, 0) + c * t ** key[var]
+    return _ref_clean(out)
+
+
+class TestAgainstFractionReferenceAtTheLimit:
+    """Each operation on exponents up to MAX_DEGREE matches the reference, or,
+    for a product past MAX_DEGREE, raises OverflowError."""
+
+    @given(wide_term_maps, wide_term_maps, wide_term_maps, points, st.sampled_from([F(1), F(-1), F(1, 2)]))
+    @example({(MAX_DEGREE // 2, 0): 1}, {(0, MAX_DEGREE // 2 + 1): 1}, {}, F(1), F(1))  # exactly MAX_DEGREE
+    @example({(0, MAX_DEGREE // 2 + 1): 1}, {(0, MAX_DEGREE // 2 + 1): 1}, {}, F(1), F(1))  # r-field carry
+    @example({(1, MAX_DEGREE - 1): F(1, 2)}, {(0, 0): 2}, {(0, 1): 3}, F(-1), F(1, 2))
+    def test_ring_operations_and_readouts(self, ta, tb, tm, c, s):
+        a, b, m = _ref_clean(ta), _ref_clean(tb), _ref_clean(tm)
+        pa, pb, pm = BiPoly(ta), BiPoly(tb), BiPoly(tm)
+        cases = [
+            (pa + pb, _ref_add(a, b)),
+            (pa - pb, _ref_add(a, _ref_scale(b, F(-1)))),
+            (pa.scale(c), _ref_scale(a, c)),
+            (pa.subst_q(s, 0), _ref_scale_by_power(a, 0, s)),
+            (pa.subst_r(s, 0), _ref_scale_by_power(a, 1, s)),
+            (pa.subst_q(0, s), _ref_subst_const(a, 0, s)),
+            (pa.subst_r(0, s), _ref_subst_const(a, 1, s)),
+        ]
+        for got, want in cases:
+            assert_matches(got, want)
+        for key in a:
+            assert pa.coeff(*key) == a[key]
+            assert_matches(pa.r_coefficient(key[1]), {(dq, 0): v for (dq, dr), v in a.items() if dr == key[1]})
+        assert pa.r_degree() == max((dr for _, dr in a), default=-1)
+        assert BiPoly.from_records(pa.to_records()) == pa
+
+        products = [
+            (lambda: pa * pb, _ref_mul(a, b), a and b and _top(a) + _top(b)),
+            (lambda: pa.add_mul(pm, pb), _ref_add(a, _ref_mul(m, b)), m and b and _top(m) + _top(b)),
+            (
+                lambda: BiPoly.sum_of_products([(pa, pb), (pm, pb)]),
+                _ref_add(_ref_mul(a, b), _ref_mul(m, b)),
+                b and max(_top(a) if a else 0, _top(m) if m else 0) + _top(b),
+            ),
+        ]
+        for product, want, degree in products:
+            if degree and degree > MAX_DEGREE:
+                with pytest.raises(OverflowError):
+                    product()
+            else:
+                assert_matches(product(), want)
 
 
 class TestHash:
