@@ -84,18 +84,12 @@ class CauchyKind(enum.Enum):
 
 
 def _row_sum(row: tuple[BiPoly, ...], alternating: bool) -> BiPoly:
-    """sum_k w(n, k) / (k + 1) over row n, with sign (-1)^k on each term if alternating,
-    in one numerator map over one denominator (lcm(1..n+1) for a triangle row), normalized
-    once.  It shares no code with ``Series.integrate01``, the oracle side."""
-    den = lcm(*((k + 1) * w_nk._den for k, w_nk in enumerate(row)))
-    out: dict[int, int] = {}  # numerators by packed exponent key, as in BiPoly
-    for k, w_nk in enumerate(row):
-        lift = den // ((k + 1) * w_nk._den)
-        if alternating and k % 2:
-            lift = -lift
-        for key, c in w_nk._terms.items():
-            out[key] = out.get(key, 0) + c * lift
-    return BiPoly._of(out, den)
+    """sum_k w(n, k) / (k + 1) over row n, with sign (-1)^k on each term if alternating, as one
+    ``BiPoly.sum_of_products`` over the pairs (+-1/(k + 1), w(n, k)): the constant first, so that
+    the kernel's inner loop runs over w(n, k).  It shares no code with ``Series.integrate01``."""
+    return BiPoly.sum_of_products(
+        (BiPoly.const(Fraction(-1 if alternating and k % 2 else 1, k + 1)), w_nk) for k, w_nk in enumerate(row)
+    )
 
 
 def cauchy_first(n: int) -> BiPoly:

@@ -112,7 +112,7 @@ def _parse_eval(text: str) -> tuple[Fraction, Fraction]:
 
 def _parse_shifts(text: str) -> tuple[Fraction, ...]:
     items = text.split(",")
-    if not items or any(not item.strip() for item in items):
+    if any(not item.strip() for item in items):
         raise argparse.ArgumentTypeError(f"expected RAT,RAT,..., got {text!r}")
     return tuple(_parse_rational(item) for item in items)
 
@@ -131,13 +131,12 @@ def _parse_nonneg(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid nonnegative integer {text!r}")
 
 
-def _parse_which(text: str) -> tuple[str, int]:
-    if text == "c":
-        return ("c", 0)
-    if text == "chat":
-        return ("chat", 0)
+def _parse_which(text: str) -> str:
+    """The normalized label: c, chat, or w:K with K written in plain digits."""
+    if text in ("c", "chat"):
+        return text
     if text.startswith("w:"):
-        return ("w", _parse_nonneg(text[2:]))
+        return f"w:{_parse_nonneg(text[2:])}"
     raise argparse.ArgumentTypeError(f"expected c, chat, or w:K, got {text!r}")
 
 
@@ -145,19 +144,11 @@ def _poly_str(p: BiPoly, fmt: str) -> str:
     return p.to_latex() if fmt == "latex" else p.to_text()
 
 
-def _json_dump(obj) -> str:
+def _json_head(header: dict) -> str:
+    """The header as compact JSON, left open after an "entries" key for the caller to fill."""
     import json
 
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def _json_entries(header: dict, entries: str) -> str:
-    """The header object with an "entries" member holding JSON text that is already written."""
-    return f'{_json_dump(header)[:-1]},"entries":{entries}}}'
-
-
-def _rat_json(x: Fraction) -> dict[str, int]:
-    return {"num": x.numerator, "den": x.denominator}
+    return json.dumps(header, separators=(",", ":"))[:-1] + ',"entries":'
 
 
 def _point_digits(q0: Fraction, r0: Fraction) -> int:
@@ -240,7 +231,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     # Rows are written as they are made, so only one is held at a time.
     write = sys.stdout.write
     if fmt == "json":
-        write(_json_dump(header)[:-1] + ',"entries":[')
+        write(_json_head(header) + "[")
         for n, row in enumerate(rows):
             write(("," if n else "") + row)
         write("]}\n")
@@ -257,55 +248,41 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
 
     kind = CauchyKind(args.kind)
     fmt = args.format
-
-    if args.eval is not None:
-        q0, rv = args.eval
-        value = cauchy_value(kind, args.n, q0, rv)
-        if fmt == "json":
-            payload = {
-                "kind": args.kind,
-                "n": args.n,
-                "eval": {"q": str(q0), "r": str(rv)},
-                "entries": _rat_json(value),
-            }
-            print(_json_dump(payload))
-        elif fmt == "csv":
-            print("n,value")
-            print(f"{args.n},{value}")
-        else:
-            print(value)
-        return 0
-
-    poly = cauchy_poly(kind, args.n)
-    if fmt == "json":
-        print(_json_entries({"kind": args.kind, "n": args.n}, poly.to_json()))
-    elif fmt == "csv":
-        print("n,value")
-        print(f"{args.n},{poly.to_text()}")
+    header: dict[str, object] = {"kind": args.kind, "n": args.n}
+    if args.eval is None:
+        poly = cauchy_poly(kind, args.n)
+        out = poly.to_json() if fmt == "json" else _poly_str(poly, fmt)
     else:
-        print(_poly_str(poly, fmt))
+        q0, rv = args.eval
+        header["eval"] = {"q": str(q0), "r": str(rv)}
+        value = cauchy_value(kind, args.n, q0, rv)
+        out = f'{{"num":{value.numerator},"den":{value.denominator}}}' if fmt == "json" else str(value)
+
+    if fmt == "json":
+        print(_json_head(header) + out + "}")
+    elif fmt == "csv":
+        print(f"n,value\n{args.n},{out}")
+    else:
+        print(out)
     return 0
 
 
 def _cmd_egf(args: argparse.Namespace) -> int:
     from .series import cauchy_first_egf, cauchy_second_egf, whitney_column_egf
 
-    which, column = args.which
+    which = args.which
     order = args.order
     if which == "c":
         s = cauchy_first_egf(order)
-        kind_str = "c"
     elif which == "chat":
         s = cauchy_second_egf(order)
-        kind_str = "chat"
     else:
-        s = whitney_column_egf(column, order)
-        kind_str = f"w:{column}"
+        s = whitney_column_egf(int(which[2:]), order)
     fmt = args.format
 
     if fmt == "json":
         entries = ",".join([s.coeff(n).to_json() for n in range(order + 1)])
-        print(_json_entries({"kind": kind_str, "order": order}, f"[{entries}]"))
+        print(_json_head({"kind": which, "order": order}) + f"[{entries}]}}")
     elif fmt == "csv":
         print("n,value")
         for n in range(order + 1):

@@ -10,8 +10,8 @@ multiply-accumulate kernel, ``_accumulate``, which adds a product into a
 numerator map.  ``add_mul`` is self + m*y through it, and ``+`` and ``*``
 are its special cases; the triangle row step calls it.  Every longer sum
 of products (a ``Series`` product coefficient, a step of ``exp``, a
-shift-law sum, the inversion and orthogonality sums) is one
-``sum_of_products``: all its terms in one map, normalized once, so no
+shift-law sum, a Cauchy row sum, the inversion and orthogonality sums) is
+one ``sum_of_products``: all its terms in one map, normalized once, so no
 product or partial sum is built only to be added.  ``Fraction``
 appears only at the boundary: the constructor takes ``Fraction``/``int``
 maps, and ``coeff``, ``const_value``, ``sorted_terms``, ``eval_at`` and

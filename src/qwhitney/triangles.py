@@ -363,16 +363,6 @@ def shift_sum(weights: list[BiPoly], terms) -> BiPoly:
     return BiPoly.sum_of_products((weights[j], v) for j, v in terms)
 
 
-def falling_factorial_x(m: int) -> Series:
-    """(x - r | q)_m = (x - r) * (x - r - q) * ... * (x - r - (m-1)q), of order m."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    acc = Series.one(m)
-    for j in range(m):
-        acc = acc.mul_linear(1, -(R + Q.scale(j)))
-    return acc
-
-
 @lru_cache(maxsize=None)
 def stirling_first_row(n: int) -> tuple[int, ...]:
     """Row n of the signed first-kind Stirling triangle, as plain integers.

@@ -32,7 +32,6 @@ from qwhitney.suites import run_suite
 from qwhitney.triangles import (
     TriangleKind,
     decimal_rows,
-    falling_factorial_x,
     rising_factorials,
     scaled_rows,
     whitney_first_values,
@@ -42,6 +41,7 @@ from qwhitney.triangles import (
 
 from _golden import FIRST_KIND, SECOND_KIND, classical_cauchy_oracle
 from _points import eval_points
+from _products import falling_factorial_x
 
 shift_values = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6)
 

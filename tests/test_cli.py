@@ -14,11 +14,12 @@ from qwhitney.series import whitney_column_egf
 from qwhitney.triangles import (
     Triangle,
     TriangleKind,
-    falling_factorial_x,
     whitney_first,
     whitney_first_values,
     whitney_second_values,
 )
+
+from _products import falling_factorial_x
 
 # Python 3.11 and later cap integer-string conversion; 3.10 has no cap.
 _set_digits = getattr(sys, "set_int_max_str_digits", None)
@@ -213,6 +214,14 @@ class TestFormats:
         code, out, _ = run_cli(capsys, "egf", "--which", "w:1000000000", "--order", "2")
         assert code == 0
         assert out == "t^0: 0\nt^1: 0\nt^2: 0\n"
+
+    @pytest.mark.parametrize("which, kind", [("w:007", "w:7"), ("w: 1 ", "w:1")])
+    def test_egf_json_kind_is_the_normalized_label(self, capsys, which, kind):
+        code, out, _ = run_cli(capsys, "egf", "--which", which, "--order", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["kind"] == kind
+        if which == "w:007":
+            assert out == '{"kind":"w:7","order":2,"entries":[[],[],[]]}\n'
 
 
 class TestVerify:

@@ -1,4 +1,8 @@
-"""The names ``qwhitney`` exports at the top level."""
+"""The names ``qwhitney`` exports at the top level, and the one module that
+reads the representation of a ``BiPoly``."""
+
+import ast
+from pathlib import Path
 
 import qwhitney
 
@@ -39,3 +43,41 @@ def test_all_is_the_public_surface():
     assert len(PUBLIC_NAMES) == 28
     for name in PUBLIC_NAMES:
         assert hasattr(qwhitney, name), name
+
+
+# What only poly.py may touch: the packed-key, common-denominator form of a
+# BiPoly.  _terms and _den are read as attributes; the others are also
+# names that an import could bind.
+BIPOLY_ATTRIBUTES = {"_terms", "_den"}
+POLY_INTERNALS = {"_of", "_of_products", "_accumulate", "_key", "FIELD", "_DR_MASK", "_Q_KEY", "_R_KEY"}
+
+
+def _internals_used(tree: ast.AST) -> list[tuple[int, str]]:
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in BIPOLY_ATTRIBUTES | POLY_INTERNALS:
+            used.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in POLY_INTERNALS:
+            used.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            used += [(node.lineno, alias.name) for alias in node.names if alias.name in POLY_INTERNALS]
+    return sorted(used)
+
+
+def test_only_poly_reads_the_bipoly_representation():
+    package = Path(qwhitney.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "poly.py" in modules
+    found = {
+        path.name: used
+        for path in modules
+        if path.name != "poly.py" and (used := _internals_used(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}
+
+
+def test_the_internals_check_sees_each_kind_of_use():
+    source = "from .poly import _key, FIELD as F\np._terms\nBiPoly._of(t, d)\nx = _DR_MASK\n"
+    assert _internals_used(ast.parse(source)) == [
+        (1, "FIELD"), (1, "_key"), (2, "_terms"), (3, "_of"), (4, "_DR_MASK")
+    ]

@@ -14,7 +14,6 @@ from qwhitney.triangles import (
     Triangle,
     TriangleKind,
     decimal_rows,
-    falling_factorial_x,
     r_stirling_first,
     rising_factorial,
     rising_factorials,
@@ -33,6 +32,7 @@ from qwhitney.triangles import (
 )
 
 from _points import eval_points, rationals
+from _products import falling_factorial_x
 
 points = st.fractions(min_value=F(-5), max_value=F(5), max_denominator=6)
 
@@ -215,8 +215,6 @@ class TestFactorialProducts:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             rising_factorial(-1)
-        with pytest.raises(ValueError):
-            falling_factorial_x(-2)
 
 
 # Values v_j of a shift-law sum: polynomials in q alone, as c_j(s) and w_s(j, k)
