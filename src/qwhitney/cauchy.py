@@ -49,8 +49,8 @@ reads every row sum and substituted entry from one first-kind triangle
 and builds each of them once.  A check at n makes a context for n; a
 verification run makes one for its n_max and passes it to every check.
 The three shift laws, like the Stirling closed form, take their right
-side from ``triangles.shift_sum`` over the ``triangles.shift_weights`` of
-n, made from one rising-factorial list; the context keeps the weights of
+side from one ``BiPoly.sum_of_products`` over the ``triangles.shift_weights``
+of n, made from one rising-factorial list; the context keeps the weights of
 the n under check, and the Stirling closed form makes its own.  The oracles above
 never read a context.  Rational arguments are ints or
 Fractions; anything else is a TypeError.
@@ -72,7 +72,6 @@ from .triangles import (
     Triangle,
     TriangleKind,
     rising_factorials,
-    shift_sum,
     shift_weights,
     stirling_first_row,
 )
@@ -173,7 +172,7 @@ def cauchy_first_stirling_sums(n_max: int) -> Iterator[BiPoly]:
         raise ValueError("n must be nonnegative")
     rise = rising_factorials(n_max)
     numbers = [q_cauchy_number(CauchyKind.FIRST, i) for i in range(n_max + 1)]
-    return (shift_sum(shift_weights(n, rise), enumerate(numbers[: n + 1])) for n in range(n_max + 1))
+    return (BiPoly.sum_of_products(zip(shift_weights(n, rise), numbers)) for n in range(n_max + 1))
 
 
 def cauchy_value(kind: CauchyKind, n: int, q0: Fraction | int, r0: Fraction | int) -> Fraction:
@@ -304,7 +303,7 @@ class FirstKindContext:
     def shift_failure(self, n: int, s: Fraction) -> str | None:
         """The shift law at n and s; see ``shift_counterexample``."""
         lhs = self.sums[n].subst_r(1, s)
-        rhs = shift_sum(self.weights(n), enumerate(self.sums_at(s)[: n + 1]))
+        rhs = BiPoly.sum_of_products(zip(self.weights(n), self.sums_at(s)))
         if lhs == rhs:
             return None
         return f"shift law fails at n={n}, s={s}: lhs={lhs}, rhs={rhs}"
@@ -325,7 +324,7 @@ class FirstKindContext:
         weights = self.weights(n)
         for k, w_nk in enumerate(self.first.row(n)):
             lhs = w_nk.subst_r(1, s)
-            rhs = shift_sum(weights, ((j, at_s[j][k]) for j in range(k, n + 1)))
+            rhs = BiPoly.sum_of_products(zip(weights[k:], (row[k] for row in at_s[k:])))
             if lhs != rhs:
                 return f"triangle shift law fails at n={n}, k={k}, s={s}: lhs={lhs}, rhs={rhs}"
         return None
@@ -333,7 +332,7 @@ class FirstKindContext:
     def classical_failure(self, n: int) -> str | None:
         """The q = 1 shift law at n; see ``classical_shift_counterexample``."""
         lhs = self.sums[n].subst_q(0, 1)
-        rhs = shift_sum(self.weights(n, classical=True), enumerate(self.classical_numbers[: n + 1]))
+        rhs = BiPoly.sum_of_products(zip(self.weights(n, classical=True), self.classical_numbers))
         if lhs == rhs:
             return None
         return f"classical shift law fails at n={n}: lhs={lhs}, rhs={rhs}"

@@ -15,10 +15,10 @@ codes: 0 on success, 1 when a verification suite finds a failing identity,
 2 on usage errors, 130 on an interrupt, and 141 when the reader of
 standard output closes it early.  Sizes (--n-max, --n, --order) are
 bounded by MAX_SYMBOLIC_SIZE, by MAX_EVAL_SIZE with --eval, or by
-MAX_VERIFY_SIZE for verify, and with
---eval (or --kind sr) the size times the digits of the point (or of
---r0) by MAX_EVAL_DIGITS; a larger one is a usage error, reported before
-any work starts.
+MAX_VERIFY_SIZE for verify; the size times the digits of the --eval point
+or of --r0 by MAX_EVAL_DIGITS, and times those of verify's --shift-values,
+summed over the values, by MAX_VERIFY_DIGITS.  A larger one is a usage
+error, reported before any work starts.
 """
 
 from __future__ import annotations
@@ -76,6 +76,12 @@ MAX_VERIFY_SIZE = 48
 # points in use are far below it: 3 digits at n = 300 in the benchmark,
 # and D = 10^200 at n <= 40 in the tests.
 MAX_EVAL_DIGITS = 10_000
+
+# Largest --n-max of verify times the digits of its --shift-values, summed
+# over the values, each one more pass over the shift laws.  The slowest
+# input it accepts, 25 one-digit fractions at n = 48, took 41 s against
+# 17 s for the default shifts (README).
+MAX_VERIFY_DIGITS = 1200
 
 
 class UsageError(Exception):
@@ -149,25 +155,6 @@ def _json_head(header: dict) -> str:
     import json
 
     return json.dumps(header, separators=(",", ":"))[:-1] + ',"entries":'
-
-
-def _point_digits(q0: Fraction, r0: Fraction) -> int:
-    """Digits of the largest of |A|, |C| and D, with q0 = A/D and r0 = C/D
-    over the least common denominator D."""
-    d, a, c = common_denominator(q0, r0)
-    return len(str(max(abs(a), abs(c), d)))
-
-
-def _size(args: argparse.Namespace) -> tuple[str, int, int]:
-    """The command's size option, its value and its limit."""
-    if args.command == "egf":
-        return "--order", args.order, MAX_SYMBOLIC_SIZE
-    if args.command == "verify":
-        return "--n-max", args.n_max, MAX_VERIFY_SIZE
-    limit = MAX_SYMBOLIC_SIZE if args.eval is None else MAX_EVAL_SIZE
-    if args.command == "cauchy":
-        return "--n", args.n, limit
-    return "--n-max", args.n_max, limit
 
 
 def _eval_rows(values, fmt: str):
@@ -318,6 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact triangles and Cauchy polynomials with a q parameter.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command's limits, checked in main: its size option, that option's
+    # limit (MAX_EVAL_SIZE with --eval) and that of the size times the digits
+    # of its rationals.  Commands without --eval, --r0 or --shift-values read None.
+    parser.set_defaults(eval=None, r0=None, shift_values=None)
 
     p_tri = sub.add_parser("triangle", help="generate a triangle of connection coefficients")
     p_tri.add_argument("--kind", required=True, choices=TRIANGLE_KINDS)
@@ -325,26 +316,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_tri.add_argument("--r0", type=_parse_nonneg, default=None, help="shift for --kind sr (default 0)")
     p_tri.add_argument("--eval", type=_parse_eval, default=None, metavar="q=RAT,r=RAT")
     p_tri.add_argument("--format", choices=FORMATS, default="text")
-    p_tri.set_defaults(run=_cmd_triangle)
+    p_tri.set_defaults(run=_cmd_triangle, limits=("--n-max", MAX_SYMBOLIC_SIZE, MAX_EVAL_DIGITS))
 
     p_cau = sub.add_parser("cauchy", help="print one Cauchy polynomial with a q parameter")
     p_cau.add_argument("--kind", required=True, choices=("first", "second"))
     p_cau.add_argument("--n", required=True, type=_parse_nonneg)
     p_cau.add_argument("--eval", type=_parse_eval, default=None, metavar="q=RAT,r=RAT")
     p_cau.add_argument("--format", choices=FORMATS, default="text")
-    p_cau.set_defaults(run=_cmd_cauchy)
+    p_cau.set_defaults(run=_cmd_cauchy, limits=("--n", MAX_SYMBOLIC_SIZE, MAX_EVAL_DIGITS))
 
     p_egf = sub.add_parser("egf", help="expand an exponential generating function")
     p_egf.add_argument("--which", required=True, type=_parse_which, metavar="{c|chat|w:K}")
     p_egf.add_argument("--order", required=True, type=_parse_nonneg)
     p_egf.add_argument("--format", choices=FORMATS, default="text")
-    p_egf.set_defaults(run=_cmd_egf)
+    p_egf.set_defaults(run=_cmd_egf, limits=("--order", MAX_SYMBOLIC_SIZE, MAX_EVAL_DIGITS))
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_ver.add_argument("--n-max", required=True, type=_parse_nonneg)
     p_ver.add_argument("--shift-values", type=_parse_shifts, default=None, metavar="RAT,RAT,...")
-    p_ver.set_defaults(run=_cmd_verify)
+    p_ver.set_defaults(run=_cmd_verify, limits=("--n-max", MAX_VERIFY_SIZE, MAX_VERIFY_DIGITS))
 
     return parser
 
@@ -382,19 +373,26 @@ def main(argv: list[str] | None = None) -> int:
         digits = sys.get_int_max_str_digits()
         set_digits(0)
     try:
-        option, size, limit = _size(args)
+        option, limit, digit_limit = args.limits
+        size = getattr(args, option[2:].replace("-", "_"))
+        limit = MAX_EVAL_SIZE if args.eval else limit
         if size > limit:
             raise UsageError(f"{option} {size} is above the limit {limit}")
-        # The sr kind is computed at the point q = 1, r = --r0, so --r0 is
-        # bounded as the --eval point is, and the longer of the two counts.
-        point_digits = _point_digits(*args.eval) if getattr(args, "eval", None) is not None else 0
-        r0_digits = len(str(args.r0)) if getattr(args, "kind", None) == "sr" and args.r0 else 0
-        point = "the --eval point" if point_digits >= r0_digits else "--r0"
-        point_digits = max(point_digits, r0_digits)
-        if size * point_digits > MAX_EVAL_DIGITS:
+        # Digits of the largest of |A|, |C| and D for the --eval point
+        # q = A/D, r = C/D, of --r0 (sr is computed at q = 1, r = --r0), and
+        # of the larger of |a| and b summed over the shift values a/b, each
+        # one more pass over the shift laws.  A tie names the first.
+        shifts = args.shift_values or ()
+        point_digits, source = max(
+            (len(str(max(map(abs, common_denominator(*args.eval))))) if args.eval else 0, "the --eval point"),
+            (len(str(args.r0)) if args.r0 else 0, "--r0"),
+            (sum(len(str(max(abs(s.numerator), s.denominator))) for s in shifts), "--shift-values"),
+            key=lambda item: item[0],
+        )
+        if size * point_digits > digit_limit:
             raise UsageError(
-                f"{option} {size} times the {point_digits} digits of {point}"
-                f" is above the limit {MAX_EVAL_DIGITS}"
+                f"{option} {size} times the {point_digits} digits of {source}"
+                f" is above the limit {digit_limit}"
             )
         code = args.run(args)
         sys.stdout.flush()

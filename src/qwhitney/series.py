@@ -153,37 +153,34 @@ def expm1_div(s: Series) -> Series:
     """(exp(s) - 1) / s for a series s with zero constant term.
 
     Computed directly as sum_{k>=0} s^k / (k+1)!, which needs no division:
-    the quotient is taken termwise on the powers of s.
+    the quotient is taken termwise on the terms s^k / k! of ``_exp_terms``.
     """
     if not s.coeff(0).is_zero():
         raise ValueError("expm1_div requires a series with zero constant term")
-    n = s.order
-    total = Series.zero(n)
-    power = Series.one(n)
-    for k in range(n + 1):
-        total = total + power.scale(Fraction(1, factorial(k + 1)))
-        power = power * s
+    total = Series.zero(s.order)
+    for k, term in enumerate(_exp_terms(s, s.order)):
+        total = total + term.scale(Fraction(1, k + 1))
     return total
 
 
-def _column_factors(k_max: int, order: int) -> Iterator[Series]:
-    """L^k / k! for k = 0..k_max, each the one before times L / k.
+def _exp_terms(s: Series, k_max: int) -> Iterator[Series]:
+    """s^k / k! for k = 0..k_max, each the one before times s / k.
 
-    Every coefficient of L^k is a single power of q, so each step is cheap.
+    Every coefficient of L^k is a single power of q, so for s = L each step
+    is cheap.
     """
-    L = log1p_qt_over_q(order)
-    power = Series.one(order)
-    yield power
+    term = Series.one(s.order)
+    yield term
     for k in range(1, k_max + 1):
-        power = (power * L).scale(Fraction(1, k))
-        yield power
+        term = (term * s).scale(Fraction(1, k))
+        yield term
 
 
 def whitney_column_egfs(order: int) -> Iterator[Series]:
     """The column EGFs k = 0..order of the first-kind triangle, one at a time,
     over one (1+q*t)^(-r/q): column k is that times L^k / k!."""
     base = binomial_power(-R, order)
-    return (base * power for power in _column_factors(order, order))
+    return (base * power for power in _exp_terms(log1p_qt_over_q(order), order))
 
 
 def whitney_column_egf(k: int, order: int) -> Series:
@@ -192,7 +189,7 @@ def whitney_column_egf(k: int, order: int) -> Series:
         raise ValueError("column index must be nonnegative")
     if k > order:
         return Series.zero(order)  # L has no constant term, so L^k starts at t^k
-    *_, power = _column_factors(k, order)
+    *_, power = _exp_terms(log1p_qt_over_q(order), k)
     return binomial_power(-R, order) * power
 
 

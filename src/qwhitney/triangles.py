@@ -34,8 +34,9 @@ one first-kind entry from the closed double-sum form
 
 with [r|q]_m the rising factorial r * (r + q) * ... * (r + (m-1)q) and
 s(i, k) the signed Stirling numbers.  Since q^(i-k) s(i, k) is w(i, k) at
-r = 0, this is the shift law taken from r = 0: ``shift_sum`` forms it over
-the ``shift_weights`` of n, made from one list of rising factorials.
+r = 0, this is the shift law taken from r = 0: one
+``BiPoly.sum_of_products`` over the ``shift_weights`` of n, made from one
+list of rising factorials, paired with the terms i = k..n.
 ``whitney_first_cheon_rows`` gives every row up to n_max over one such list.
 """
 
@@ -353,16 +354,6 @@ def shift_weights(n: int, rise: list[BiPoly]) -> list[BiPoly]:
     return [rise[n - j].scale(binomial(n, j) * (-1) ** (n - j)) for j in range(n + 1)]
 
 
-def shift_sum(weights: list[BiPoly], terms) -> BiPoly:
-    """sum_j weights[j] v_j over the pairs (j, v_j) in terms.
-
-    The right side of each shift law, with ``shift_weights`` for its n.
-    v_j is a polynomial or a number; a caller leaves out the pairs whose v_j
-    is known to be zero.
-    """
-    return BiPoly.sum_of_products((weights[j], v) for j, v in terms)
-
-
 @lru_cache(maxsize=None)
 def stirling_first_row(n: int) -> tuple[int, ...]:
     """Row n of the signed first-kind Stirling triangle, as plain integers.
@@ -403,5 +394,5 @@ def whitney_first_cheon_rows(n_max: int) -> Iterator[list[BiPoly]]:
 
 
 def _cheon_entry(weights: list[BiPoly], n: int, k: int) -> BiPoly:
-    terms = ((i, BiPoly({(i - k, 0): stirling_first_row(i)[k]})) for i in range(k, n + 1))
-    return shift_sum(weights, terms)
+    terms = (BiPoly({(i - k, 0): stirling_first_row(i)[k]}) for i in range(k, n + 1))
+    return BiPoly.sum_of_products(zip(weights[k:], terms))

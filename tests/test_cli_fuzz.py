@@ -2,20 +2,30 @@
 
 Every argv must end in a documented exit code (0, 1 or 2) without an
 uncaught exception.  Sizes stay at 3 or below, so each run is quick; sizes,
-evaluation points and --r0 values near each limit run with the commands
-stubbed out, so no work starts.
+evaluation points, --r0 values and shift values near each limit run with
+the commands stubbed out, so no work starts.
 """
 
+import argparse
 import contextlib
 import io
 from itertools import chain
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwhitney import cli
-from qwhitney.cli import MAX_EVAL_DIGITS, MAX_EVAL_SIZE, MAX_SYMBOLIC_SIZE, MAX_VERIFY_SIZE, main
+from qwhitney.cli import (
+    MAX_EVAL_DIGITS,
+    MAX_EVAL_SIZE,
+    MAX_SYMBOLIC_SIZE,
+    MAX_VERIFY_DIGITS,
+    MAX_VERIFY_SIZE,
+    main,
+)
+from qwhitney.suites import DEFAULT_SHIFTS
 
 SIZES = ("0", "1", "2", "3")
 FORMATS = ("text", "json", "csv", "latex")
@@ -203,3 +213,115 @@ def test_r0_beyond_the_digit_limit_exits_2_before_any_work(case, offset, r0):
         want = (f"error: --n-max {size} times the {counted} digits of {source}"
                 f" is above the limit {MAX_EVAL_DIGITS}")
         assert want in err.getvalue()
+
+
+def _run_stubbed(argv: list[str]) -> tuple[int, list, str]:
+    """The exit code, the runs of a stubbed command and the error stream of main(argv)."""
+    started = []
+    stubs = {name: lambda args: started.append(args) or 0 for name in COMMAND_NAMES}
+    err = io.StringIO()
+    with mock.patch.multiple(cli, **stubs), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, started, err.getvalue()
+
+
+# Shift values a/b whose largest of |a| and b has exactly the given number
+# of digits.
+SHIFTS_OF_DIGITS = (
+    lambda d: "9" * d,
+    lambda d: f"-1/{'7' * d}",
+    lambda d: f"{'9' * d}/1{'0' * (d - 1)}",
+)
+
+# A size and the digits of each shift value, in total near the limit: the
+# first value takes what the others, of one digit each, leave of it.
+SHIFT_CASES = st.builds(
+    lambda size, count, offset: (
+        size,
+        (max(1, MAX_VERIFY_DIGITS // size + offset - count + 1),) + (1,) * (count - 1),
+    ),
+    st.integers(1, MAX_VERIFY_SIZE),
+    st.integers(1, 8),
+    st.integers(-3, 3),
+)
+
+
+# Each shift value is one more pass over the shift laws, so the digits of
+# the values add up.  The examples are inputs that ran long before the
+# limit: one random 4000-digit fraction at --n-max 12 (36 s, against 0.3 s
+# with the default shifts), one 312-digit fraction at --n-max 32 (98 s)
+# and 50 one-digit values at --n-max 24, which is at the limit.
+@settings(deadline=None, max_examples=200)
+@given(SHIFT_CASES, st.sampled_from(SHIFTS_OF_DIGITS), st.booleans())
+@example((12, (4000,)), SHIFTS_OF_DIGITS[2], False)
+@example((32, (312,)), SHIFTS_OF_DIGITS[2], True)
+@example((24, (1,) * 50), SHIFTS_OF_DIGITS[1], False)
+@example((24, (1,) * 51), SHIFTS_OF_DIGITS[1], True)
+def test_shift_values_beyond_the_digit_limit_exit_2_before_any_work(case, shift, joined):
+    size, digits = case
+    values = ",".join(shift(d) for d in digits)
+    shift_args = [f"--shift-values={values}"] if joined else ["--shift-values", values]
+    code, started, err = _run_stubbed(["verify", "--suite", "all", "--n-max", str(size), *shift_args])
+    total = sum(digits)
+    if size * total <= MAX_VERIFY_DIGITS:
+        assert (code, len(started)) == (0, 1)
+    else:
+        assert (code, started) == (2, [])
+        want = (f"error: --n-max {size} times the {total} digits of --shift-values"
+                f" is above the limit {MAX_VERIFY_DIGITS}")
+        assert want in err
+
+
+# The default shifts at the largest --n-max, and the widest shift values of
+# the benchmark's verify jobs (an integer of 2..9, then numerators below 29,
+# 7 and 17 over those denominators) at their --n-max 12.
+@pytest.mark.parametrize(
+    "size, values",
+    [(MAX_VERIFY_SIZE, ",".join(map(str, DEFAULT_SHIFTS))), (12, "-9,-28/29,-6/7,-16/17")],
+)
+def test_default_and_benchmark_shift_values_are_accepted(size, values):
+    code, started, _ = _run_stubbed(["verify", "--suite", "all", "--n-max", str(size), f"--shift-values={values}"])
+    assert (code, len(started)) == (0, 1)
+
+
+# A value of each rational option type with the given number of digits.
+RATIONAL_OF_DIGITS = {
+    cli._parse_rational: lambda d: "9" * d,
+    cli._parse_eval: lambda d: f"q={'9' * d},r=0",
+    cli._parse_shifts: lambda d: "9" * d,
+}
+
+
+def _subcommands():
+    (action,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices.items()
+
+
+# Every option that parses a rational is counted by the digit limit of its
+# subcommand: at the subcommand's size limit, one digit more than the limit
+# allows exits 2 before any work, and one digit runs the command.  An
+# option added without a bound fails here.
+def test_every_rational_option_exits_2_before_any_work_when_too_long():
+    checked = set()
+    for command, parser in _subcommands():
+        rational = [a for a in parser._actions if a.type in RATIONAL_OF_DIGITS]
+        if not rational:
+            continue
+        size_option, size, digit_limit = parser.get_default("limits")
+        required = []
+        for a in parser._actions:
+            if a.required:
+                required += [a.option_strings[0], str(size) if a.option_strings[0] == size_option else a.choices[0]]
+        for action in rational:
+            option = action.option_strings[0]
+            too_long = digit_limit // size + 1
+            for digits in (1, too_long):
+                value = RATIONAL_OF_DIGITS[action.type](digits)
+                code, started, err = _run_stubbed([command, *required, f"{option}={value}"])
+                if digits == 1:
+                    assert (code, len(started)) == (0, 1), (command, option)
+                else:
+                    assert (code, started) == (2, []), (command, option)
+                    assert f"{size_option} {size} times the" in err and option in err, err
+            checked.add((command, option))
+    assert {("triangle", "--eval"), ("cauchy", "--eval"), ("verify", "--shift-values")} <= checked

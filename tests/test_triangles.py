@@ -18,7 +18,6 @@ from qwhitney.triangles import (
     rising_factorial,
     rising_factorials,
     scaled_rows,
-    shift_sum,
     shift_weights,
     stirling_first,
     stirling_first_row,
@@ -235,7 +234,7 @@ class TestShiftSum:
         want = ZERO
         for j in sorted(kept):
             want = want + rise[n - j] * (values[j] * (comb(n, j) * (-1) ** (n - j)))
-        assert shift_sum(weights, ((j, values[j]) for j in sorted(kept))) == want
+        assert BiPoly.sum_of_products((weights[j], values[j]) for j in sorted(kept)) == want
 
 
 class TestCheonForm:
