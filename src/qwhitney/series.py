@@ -153,13 +153,14 @@ def expm1_div(s: Series) -> Series:
     """(exp(s) - 1) / s for a series s with zero constant term.
 
     Computed directly as sum_{k>=0} s^k / (k+1)!, which needs no division:
-    the quotient is taken termwise on the terms s^k / k! of ``_exp_terms``.
+    each term is the one before times s / (k+1), so each power is scaled once.
     """
     if not s.coeff(0).is_zero():
         raise ValueError("expm1_div requires a series with zero constant term")
-    total = Series.zero(s.order)
-    for k, term in enumerate(_exp_terms(s, s.order)):
-        total = total + term.scale(Fraction(1, k + 1))
+    term = total = Series.one(s.order)
+    for k in range(1, s.order + 1):
+        term = (term * s).scale(Fraction(1, k + 1))
+        total = total + term
     return total
 
 

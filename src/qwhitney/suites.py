@@ -257,12 +257,13 @@ def run_suite(
     """Run one named suite, or every suite for name "all", over one context.
 
     The shift values are ints or Fractions; anything else is a TypeError.
+    A repeated value is checked once, in the order of its first occurrence.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     chosen = tuple(SUITES) if name == "all" else (name,)
     if any(s not in SUITES for s in chosen):
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(suite_names())}")
-    effective = DEFAULT_SHIFTS if shifts is None else tuple(as_rational(s) for s in shifts)
+    effective = DEFAULT_SHIFTS if shifts is None else tuple(dict.fromkeys(as_rational(s) for s in shifts))
     ctx = FirstKindContext(n_max)
     return [SUITES[suite](ctx, effective) for suite in chosen]

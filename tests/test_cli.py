@@ -1,9 +1,12 @@
+import ast
 import contextlib
+import gc
 import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +337,79 @@ class TestLargeAndInterruptedOutput:
         monkeypatch.setattr(suites_mod, "run_suite", interrupted)
         code, _, _ = run_cli(capsys, "verify", "--suite", "shift", "--n-max", "1")
         assert code == 130
+
+
+def _run_script(*lines: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True, timeout=120
+    )
+
+
+class TestProcessEntry:
+    """``cli.run`` is the process entry: main on sys.argv, gc.freeze(), sys.exit."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("triangle", "--kind", "W", "--n-max", "6", "--format", "csv"), 0),
+            (("verify", "--suite", "shift", "--n-max", "3", "--shift-values=-7/9,2"), 0),
+            (("triangle", "--kind", "w", "--n-max", "-1"), 2),
+        ],
+    )
+    def test_module_run_matches_main_in_process(self, capsys, argv, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qwhitney", *argv], capture_output=True, text=True, timeout=120
+        )
+        in_process = run_cli(capsys, *argv)
+        assert in_process[0] == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+
+    def test_failing_suite_exits_1_with_its_counterexample(self):
+        proc = _run_script(
+            "import sys",
+            "import qwhitney.cauchy as cauchy_mod",
+            "from qwhitney import cli",
+            "from qwhitney.poly import ONE",
+            "real = cauchy_mod.cauchy_first_integrals",
+            "cauchy_mod.cauchy_first_integrals = lambda n_max: (p + ONE for p in real(n_max))",
+            "sys.argv = ['qwhitney', 'verify', '--suite', 'first-kind-oracle', '--n-max', '2']",
+            "cli.run()",
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == "suite first-kind-oracle: FAIL (3 of 12 checks)\n"
+        assert proc.stderr.startswith("counterexample: first kind vs integral, n=0: got 1, want 2\n")
+
+    def test_atexit_runs_after_the_output_is_written_on_a_frozen_heap(self):
+        # os._exit would skip the handler, as it would the benchmark's
+        # peak-RSS report at exit, and the flush of the buffered output.
+        proc = _run_script(
+            "import atexit, gc, os, sys",
+            "from qwhitney import cli",
+            "atexit.register(lambda: os.write(2, b'frozen %d\\n' % (gc.get_freeze_count() > 0)))",
+            "sys.argv = ['qwhitney', 'triangle', '--kind', 'w', '--n-max', '40', '--eval', 'q=1/3,r=2/7']",
+            "cli.run()",
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == "frozen 1\n"
+        assert proc.stdout.count("\n") == 41 * 42 // 2
+        assert proc.stdout.endswith("n=40 k=40: 1\n")
+
+    def test_main_in_process_leaves_the_heap_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        for argv in (("cauchy", "--kind", "first", "--n", "3"), ("verify", "--suite", "inversion", "--n-max", "2")):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_and_module_call_the_same_entry(self):
+        root = Path(__file__).resolve().parents[1]
+        pyproject = (root / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'qwhitney = "qwhitney.cli:run"'
+        tree = ast.parse((root / "src" / "qwhitney" / "__main__.py").read_text())
+        nodes = list(ast.walk(tree))
+        imports = [(n.module, n.level, [a.name for a in n.names]) for n in nodes if isinstance(n, ast.ImportFrom)]
+        calls = [ast.unparse(n) for n in nodes if isinstance(n, ast.Call)]
+        assert (imports, calls) == ([("cli", 1, ["run"])], ["run()"])
 
 
 class TestImportsPerCommand:

@@ -154,6 +154,17 @@ def test_suite_result_is_an_immutable_record():
     assert repr(result) == "SuiteResult(name='shift', checks=3, failures=('a failure',))"
 
 
+def test_a_repeated_shift_value_is_checked_once(capsys):
+    once = run_cli(capsys, "verify", "--suite", "all", "--n-max", "4", "--shift-values=-7/9")
+    assert run_cli(capsys, "verify", "--suite", "all", "--n-max", "4", "--shift-values=-7/9,-7/9") == once
+    assert once[0] == 0
+
+
+def test_repeated_shift_values_keep_the_order_of_first_occurrence(corrupted_first_kind):
+    repeated = (F(1), F(-1, 2), 1, F(-1, 2), F(1))
+    assert run_suite("all", 4, repeated) == run_suite("all", 4, SHIFTS[2])
+
+
 @pytest.mark.parametrize(
     "suite, first_failure",
     [
