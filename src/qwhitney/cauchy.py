@@ -43,15 +43,15 @@ relations against the second-kind triangle
 
 and the q = 1 specialization of the shift law where the right side is a
 binomial convolution of classical Cauchy numbers.  Each returns None on
-success and a description of the first failing case otherwise.  All four
-are thin callers of one core, the methods of ``FirstKindContext``, which
-reads every row sum and substituted entry from one first-kind triangle
-and builds each of them once.  A check at n makes a context for n; a
-verification run makes one for its n_max and passes it to every check.
-The three shift laws, like the Stirling closed form, take their right
-side from one ``BiPoly.sum_of_products`` over the ``triangles.shift_weights``
-of n, made from one rising-factorial list; the context keeps the weights of
-the n under check, and the Stirling closed form makes its own.  The oracles above
+success and a description of the first failing case otherwise.  Each
+is the last outcome of one pass of ``FirstKindContext``, which checks its
+identity for n = 0..n_max over one first-kind triangle.  A check at n makes
+a context for n; a verification run makes one for its n_max and runs each
+pass over it, a shift law once per shift value.  The three shift laws,
+like the Stirling closed form, take their right side from one
+``BiPoly.sum_of_products`` over the ``triangles.shift_weights`` of n, made
+from one rising-factorial list; the context keeps the weights of every n,
+and the Stirling closed form makes its own.  The oracles above
 never read a context.  Rational arguments are ints or
 Fractions; anything else is a TypeError.
 """
@@ -228,18 +228,21 @@ class FirstKindContext:
     part is built on first use and then kept: the first- and second-kind
     triangles, taken from ``triangles.whitney_first`` and
     ``triangles.whitney_second`` when first read; the row sums c_j(r) and
-    chat_j(r) and the alternating row sums chat_j(-r); the rising factorials
-    [r|q]_m and [r|1]_m, and the shift weights over them of the last n
-    read; the classical numbers c_j; and, per shift value s, the
-    substituted c_j(s) and w(j, k) at r = s.  These are the values under
-    test; no oracle is built from them.
+    chat_j(r) and the alternating row sums chat_j(-r); and the shift weights
+    of every n over [r|q]_m.  These are the values under test; no oracle is
+    built from them.
+
+    Each ``*_failures`` method checks one identity in one pass over
+    n = 0..n_max and yields one outcome per n: None, or the text of its
+    first failure.  A shift-law pass takes one shift value s and builds what
+    it reads at r = s (c_j(s), or the rows of the triangle) one n at a time;
+    nothing at r = s outlives the pass.
     """
 
     def __init__(self, n_max: int):
+        if n_max < 0:
+            raise ValueError("n_max must be nonnegative")
         self.n_max = n_max
-        self._sums_at: dict[Fraction, list[BiPoly]] = {}
-        self._rows_at: dict[Fraction, list[list[BiPoly]]] = {}
-        self._weights: tuple[tuple[int, bool], list[BiPoly]] | None = None
 
     @cached_property
     def first(self) -> Triangle:
@@ -265,77 +268,57 @@ class FirstKindContext:
         return [p.subst_r(-1, 0) for p in self.alternating_sums]
 
     @cached_property
-    def rise(self) -> list[BiPoly]:
-        return rising_factorials(self.n_max)
+    def weights(self) -> list[list[BiPoly]]:
+        """The shift weights of n over [r|q]_m, for n = 0..n_max."""
+        rise = rising_factorials(self.n_max)
+        return [shift_weights(n, rise) for n in range(self.n_max + 1)]
 
-    @cached_property
-    def classical_rise(self) -> list[BiPoly]:
-        return rising_factorials(self.n_max, step=ONE)
+    def shift_failures(self, s: Fraction) -> Iterator[str | None]:
+        """The shift law at s for n = 0..n_max; see ``shift_counterexample``."""
+        at_s = []  # c_j(s) for j <= n, polynomials in q alone
+        for n, (c_n, weights) in enumerate(zip(self.sums, self.weights)):
+            at_s.append(c_n.subst_r(0, s))
+            lhs = c_n.subst_r(1, s)
+            rhs = BiPoly.sum_of_products(zip(weights, at_s))
+            yield None if lhs == rhs else f"shift law fails at n={n}, s={s}: lhs={lhs}, rhs={rhs}"
 
-    @cached_property
-    def classical_numbers(self) -> list[Fraction]:
-        return [cauchy_number(CauchyKind.FIRST, i) for i in range(self.n_max + 1)]
+    def inversion_failures(self) -> Iterator[str | None]:
+        """Both inversion sums for n = 0..n_max; see ``inversion_counterexample``."""
+        for n in range(self.n_max + 1):
+            w2 = self.second.row(n)
+            for alternating, kind in ((False, "first"), (True, "second")):
+                sums = self.alternating_sums if alternating else self.sums
+                lhs = BiPoly.sum_of_products(zip(w2, sums))
+                if lhs != BiPoly.const(Fraction((-1) ** n if alternating else 1, n + 1)):
+                    yield f"{kind}-kind inversion fails at n={n}: got {lhs}"
+                    break
+            else:
+                yield None
 
-    def sums_at(self, s: Fraction) -> list[BiPoly]:
-        """c_j(s) for j = 0..n_max, polynomials in q alone."""
-        if s not in self._sums_at:
-            self._sums_at[s] = [c.subst_r(0, s) for c in self.sums]
-        return self._sums_at[s]
+    def cheon_failures(self, s: Fraction) -> Iterator[str | None]:
+        """The entrywise shift law at s for n = 0..n_max; see ``cheon_counterexample``."""
+        at_s = []  # rows 0..n of the first-kind triangle at r = s
+        for n, weights in enumerate(self.weights):
+            row = self.first.row(n)
+            at_s.append([w.subst_r(0, s) for w in row])
+            for k, w_nk in enumerate(row):
+                lhs = w_nk.subst_r(1, s)
+                rhs = BiPoly.sum_of_products(zip(weights[k:], (row_at_s[k] for row_at_s in at_s[k:])))
+                if lhs != rhs:
+                    yield f"triangle shift law fails at n={n}, k={k}, s={s}: lhs={lhs}, rhs={rhs}"
+                    break
+            else:
+                yield None
 
-    def rows_at(self, s: Fraction) -> list[list[BiPoly]]:
-        """Rows 0..n_max of the first-kind triangle at r = s."""
-        if s not in self._rows_at:
-            rows = (self.first.row(j) for j in range(self.n_max + 1))
-            self._rows_at[s] = [[w.subst_r(0, s) for w in row] for row in rows]
-        return self._rows_at[s]
-
-    def weights(self, n: int, classical: bool = False) -> list[BiPoly]:
-        """The shift weights of n over [r|q]_m, or over [r|1]_m if classical.
-
-        Only the last n asked for is kept: the suites ask for one n at every
-        shift value before they go on to the next.
-        """
-        key = (n, classical)
-        if self._weights is None or self._weights[0] != key:
-            self._weights = (key, shift_weights(n, self.classical_rise if classical else self.rise))
-        return self._weights[1]
-
-    def shift_failure(self, n: int, s: Fraction) -> str | None:
-        """The shift law at n and s; see ``shift_counterexample``."""
-        lhs = self.sums[n].subst_r(1, s)
-        rhs = BiPoly.sum_of_products(zip(self.weights(n), self.sums_at(s)))
-        if lhs == rhs:
-            return None
-        return f"shift law fails at n={n}, s={s}: lhs={lhs}, rhs={rhs}"
-
-    def inversion_failure(self, n: int) -> str | None:
-        """Both inversion sums at n; see ``inversion_counterexample``."""
-        w2 = self.second.row(n)
-        for alternating, kind in ((False, "first"), (True, "second")):
-            sums = self.alternating_sums if alternating else self.sums
-            lhs = BiPoly.sum_of_products(zip(w2, sums))
-            if lhs != BiPoly.const(Fraction((-1) ** n if alternating else 1, n + 1)):
-                return f"{kind}-kind inversion fails at n={n}: got {lhs}"
-        return None
-
-    def cheon_failure(self, n: int, s: Fraction) -> str | None:
-        """The entrywise shift law at n and s; see ``cheon_counterexample``."""
-        at_s = self.rows_at(s)
-        weights = self.weights(n)
-        for k, w_nk in enumerate(self.first.row(n)):
-            lhs = w_nk.subst_r(1, s)
-            rhs = BiPoly.sum_of_products(zip(weights[k:], (row[k] for row in at_s[k:])))
-            if lhs != rhs:
-                return f"triangle shift law fails at n={n}, k={k}, s={s}: lhs={lhs}, rhs={rhs}"
-        return None
-
-    def classical_failure(self, n: int) -> str | None:
-        """The q = 1 shift law at n; see ``classical_shift_counterexample``."""
-        lhs = self.sums[n].subst_q(0, 1)
-        rhs = BiPoly.sum_of_products(zip(self.weights(n, classical=True), self.classical_numbers))
-        if lhs == rhs:
-            return None
-        return f"classical shift law fails at n={n}: lhs={lhs}, rhs={rhs}"
+    def classical_failures(self) -> Iterator[str | None]:
+        """The q = 1 shift law for n = 0..n_max; see ``classical_shift_counterexample``."""
+        rise = rising_factorials(self.n_max, step=ONE)
+        numbers = []  # the classical c_j for j <= n
+        for n, c_n in enumerate(self.sums):
+            numbers.append(cauchy_number(CauchyKind.FIRST, n))
+            lhs = c_n.subst_q(0, 1)
+            rhs = BiPoly.sum_of_products(zip(shift_weights(n, rise), numbers))
+            yield None if lhs == rhs else f"classical shift law fails at n={n}: lhs={lhs}, rhs={rhs}"
 
 
 def shift_counterexample(n: int, s: Fraction | int) -> str | None:
@@ -346,7 +329,8 @@ def shift_counterexample(n: int, s: Fraction | int) -> str | None:
     while the rising factorial carries the r dependence.  Every c_j is a
     row sum of the one triangle built for n.
     """
-    return FirstKindContext(n).shift_failure(n, as_rational(s))
+    *_, last = FirstKindContext(n).shift_failures(as_rational(s))
+    return last
 
 
 def inversion_counterexample(n: int) -> str | None:
@@ -356,7 +340,8 @@ def inversion_counterexample(n: int) -> str | None:
     sum_k W(n, k) chat_k(-r) to (-1)^n/(n+1); chat_k(-r) is the alternating
     row sum itself.  Both sums read the rows of one first-kind triangle.
     """
-    return FirstKindContext(n).inversion_failure(n)
+    *_, last = FirstKindContext(n).inversion_failures()
+    return last
 
 
 def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
@@ -366,7 +351,8 @@ def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
 
         w_{r+s}(n, k) = sum_j (-1)^(n-j) C(n, j) [r|q]_(n-j) w_s(j, k).
     """
-    return FirstKindContext(n).cheon_failure(n, as_rational(s))
+    *_, last = FirstKindContext(n).cheon_failures(as_rational(s))
+    return last
 
 
 def classical_shift_counterexample(n: int) -> str | None:
@@ -375,4 +361,5 @@ def classical_shift_counterexample(n: int) -> str | None:
     c_n(r) at q = 1 must equal
     sum_i C(n, i) (-1)^(n-i) [r|1]_(n-i) c_i with c_i the classical numbers.
     """
-    return FirstKindContext(n).classical_failure(n)
+    *_, last = FirstKindContext(n).classical_failures()
+    return last

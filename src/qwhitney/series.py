@@ -93,9 +93,8 @@ class Series:
         return Series(n, tuple(BiPoly.sum_of_products(ps) for ps in pairs))
 
     def scale(self, c: BiPoly | Fraction | int) -> Series:
-        if isinstance(c, BiPoly):
-            return Series(self._order, tuple(p * c for p in self._coeffs))
-        return Series(self._order, tuple(p.scale(c) for p in self._coeffs))
+        # c on the left: a scalar c goes through BiPoly.__rmul__, which is BiPoly.scale.
+        return Series(self._order, tuple(c * p for p in self._coeffs))
 
     def mul_linear(self, sign: int, c: BiPoly) -> Series:
         """Multiply by the linear factor (sign*t + c), sign in {+1, -1}, truncated at the order."""

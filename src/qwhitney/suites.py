@@ -25,8 +25,11 @@ One ``cauchy.FirstKindContext`` serves every suite of a run.  It builds
 the first- and second-kind triangles at most once, through the module
 attributes ``triangles.whitney_first`` and ``triangles.whitney_second``,
 and only when a suite first reads them, so the work stays inside that
-suite.  It also keeps the row sums, the rising factorials and the
-substituted rows that the Cauchy polynomials and the shift laws read.
+suite.  It also keeps the row sums and the shift weights that the Cauchy
+polynomials and the shift laws read.  The shift and cheon suites take the
+shift values one at a time, each in one pass over n = 0..n_max, and a
+failing suite lists its counterexamples in that order; what a pass
+substitutes at r = s is dropped before the next value.
 The context holds results only: the oracles they are checked against
 (the integrals, the Stirling closed forms, the q-numbers and the
 generating functions) are built by their own code paths and never read
@@ -116,7 +119,7 @@ def _suite_egf(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes
 
 
 def _suite_inversion(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    return (ctx.inversion_failure(n) for n in range(ctx.n_max + 1))
+    return ctx.inversion_failures()
 
 
 def _suite_orthogonality(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
@@ -140,11 +143,13 @@ def _suite_orthogonality(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) ->
 
 
 def _suite_shift(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    return (ctx.shift_failure(n, s) for n in range(ctx.n_max + 1) for s in shifts)
+    for s in shifts:
+        yield from ctx.shift_failures(s)
 
 
 def _suite_cheon(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    yield from (ctx.cheon_failure(n, s) for n in range(ctx.n_max + 1) for s in shifts)
+    for s in shifts:
+        yield from ctx.cheon_failures(s)
     tri = ctx.first
     for n, row in enumerate(triangles.whitney_first_cheon_rows(ctx.n_max)):
         for k, w in enumerate(row):
@@ -200,9 +205,13 @@ def _suite_reductions(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _O
 
 
 def _suite_classical(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    integrals = zip(cauchy.cauchy_first_integrals(ctx.n_max), cauchy.cauchy_second_integrals(ctx.n_max))
-    for n, (first_integral, second_integral) in enumerate(integrals):
-        yield ctx.classical_failure(n)
+    checks = zip(
+        ctx.classical_failures(),
+        cauchy.cauchy_first_integrals(ctx.n_max),
+        cauchy.cauchy_second_integrals(ctx.n_max),
+    )
+    for n, (shift_failure, first_integral, second_integral) in enumerate(checks):
+        yield shift_failure
         got_first = cauchy.cauchy_number(CauchyKind.FIRST, n)
         got_second = cauchy.cauchy_number(CauchyKind.SECOND, n)
         yield _check(
@@ -259,11 +268,9 @@ def run_suite(
     The shift values are ints or Fractions; anything else is a TypeError.
     A repeated value is checked once, in the order of its first occurrence.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    ctx = FirstKindContext(n_max)
     chosen = tuple(SUITES) if name == "all" else (name,)
     if any(s not in SUITES for s in chosen):
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(suite_names())}")
     effective = DEFAULT_SHIFTS if shifts is None else tuple(dict.fromkeys(as_rational(s) for s in shifts))
-    ctx = FirstKindContext(n_max)
     return [SUITES[suite](ctx, effective) for suite in chosen]

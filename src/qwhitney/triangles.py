@@ -59,7 +59,7 @@ from decimal import (
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .arith import binomial
 from .poly import ONE, Q, R, ZERO, BiPoly, common_denominator
@@ -73,7 +73,7 @@ class TriangleKind(enum.Enum):
     R_STIRLING_FIRST = "sr"
 
 
-class Triangle:
+class Triangle(NamedTuple):
     """Rows 0..n_max of a connection-coefficient triangle.
 
     ``entry(n, k)`` returns the BiPoly at row n, column k, and is zero for
@@ -81,40 +81,19 @@ class Triangle:
     and None for the other kinds.
     """
 
-    __slots__ = ("_kind", "_n_max", "_rows", "_r0")
-
-    def __init__(
-        self,
-        kind: TriangleKind,
-        n_max: int,
-        rows: tuple[tuple[BiPoly, ...], ...],
-        r0: int | None = None,
-    ):
-        self._kind = kind
-        self._n_max = n_max
-        self._rows = rows
-        self._r0 = r0
-
-    @property
-    def kind(self) -> TriangleKind:
-        return self._kind
-
-    @property
-    def n_max(self) -> int:
-        return self._n_max
-
-    @property
-    def r0(self) -> int | None:
-        return self._r0
+    kind: TriangleKind
+    n_max: int
+    rows: tuple[tuple[BiPoly, ...], ...]
+    r0: int | None = None
 
     def entry(self, n: int, k: int) -> BiPoly:
         row = self.row(n)
         return row[k] if 0 <= k <= n else ZERO
 
     def row(self, n: int) -> tuple[BiPoly, ...]:
-        if not 0 <= n <= self._n_max:
-            raise ValueError(f"row {n} out of range 0..{self._n_max}")
-        return self._rows[n]
+        if not 0 <= n <= self.n_max:
+            raise ValueError(f"row {n} out of range 0..{self.n_max}")
+        return self.rows[n]
 
     def row_poly(self, n: int) -> Series:
         """Row n as a polynomial in x of degree n: sum_k entry(n, k) * x^k."""

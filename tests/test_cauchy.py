@@ -230,6 +230,16 @@ class TestShiftLaws:
         assert cheon_counterexample(4, F(-2)) is None
         assert shift_counterexample(6, F(3, 5)) is None
 
+    def test_verifiers_reject_a_negative_index(self):
+        for check in (
+            lambda: shift_counterexample(-1, 1),
+            lambda: cheon_counterexample(-1, 1),
+            lambda: inversion_counterexample(-1),
+            lambda: classical_shift_counterexample(-1),
+        ):
+            with pytest.raises(ValueError, match="n_max must be nonnegative"):
+                check()
+
 
 def _listed(scaled):
     powers, rows = scaled

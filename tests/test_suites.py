@@ -1,6 +1,7 @@
 """Check counts and failure reports of the verification suites."""
 
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -113,6 +114,65 @@ def test_corrupted_triangle_fails_every_suite_of_a_shared_run(corrupted_first_ki
     results = run_suite("all", 4, SHIFTS[2])
     got = {r.name: (len(r.failures), r.checks, r.failures[0]) for r in results}
     assert got == CORRUPTED_ALL_4
+
+
+# The failures of the shift and cheon suites of run_suite("all", 4, SHIFTS[2])
+# under ``corrupted_first_kind``, in full: each shift value in turn, n = 0..4
+# within it.
+CORRUPTED_SHIFT_4 = (
+    "shift law fails at n=3, s=1: lhs=-r^3 - (3*q + 3/2)*r^2 - (2*q^2 + 3*q + 1)*r - q^2 - q - 1/4, "
+    "rhs=-r^3 - (3*q + 3/2)*r^2 - (2*q^2 + 3*q + 5/2)*r - q^2 - q - 1/4",
+    "shift law fails at n=4, s=1: lhs=r^4 + (6*q + 2)*r^3 + (11*q^2 + 9*q + 2)*r^2 "
+    "+ (6*q^3 + 11*q^2 + 6*q + 1)*r + 3*q^3 + (11/3)*q^2 + (3/2)*q + 1/5, rhs=r^4 + (6*q + 2)*r^3 "
+    "+ (11*q^2 + 9*q + 5)*r^2 + (6*q^3 + 11*q^2 + 9*q + 1)*r + 3*q^3 + (11/3)*q^2 + (3/2)*q + 1/5",
+    "shift law fails at n=3, s=-1/2: lhs=-r^3 - (3*q - 3)*r^2 - (2*q^2 - 6*q + 13/4)*r + 2*q^2 - (13/4)*q + 5/4, "
+    "rhs=-r^3 - (3*q - 3)*r^2 - (2*q^2 - 6*q + 19/4)*r + 2*q^2 - (13/4)*q + 5/4",
+    "shift law fails at n=4, s=-1/2: lhs=r^4 + (6*q - 4)*r^3 + (11*q^2 - 18*q + 13/2)*r^2 "
+    "+ (6*q^3 - 22*q^2 + (39/2)*q - 5)*r - 6*q^3 + (143/12)*q^2 - (15/2)*q + 121/80, rhs=r^4 + (6*q - 4)*r^3 "
+    "+ (11*q^2 - 18*q + 19/2)*r^2 + (6*q^3 - 22*q^2 + (45/2)*q - 5)*r - 6*q^3 + (143/12)*q^2 - (15/2)*q + 121/80",
+)
+CORRUPTED_CHEON_4 = (
+    "triangle shift law fails at n=3, k=1, s=1: lhs=3*r^2 + (6*q + 6)*r + 2*q^2 + 6*q + 3, "
+    "rhs=3*r^2 + (6*q + 3)*r + 2*q^2 + 6*q + 3",
+    "triangle shift law fails at n=4, k=1, s=1: lhs=-4*r^3 - (18*q + 12)*r^2 - (22*q^2 + 36*q + 12)*r "
+    "- 6*q^3 - 22*q^2 - 18*q - 4, rhs=-4*r^3 - (18*q + 6)*r^2 - (22*q^2 + 30*q + 12)*r - 6*q^3 - 22*q^2 - 18*q - 4",
+    "triangle shift law fails at n=3, k=1, s=-1/2: lhs=3*r^2 + (6*q - 3)*r + 2*q^2 - 3*q + 3/4, "
+    "rhs=3*r^2 + (6*q - 6)*r + 2*q^2 - 3*q + 3/4",
+    "triangle shift law fails at n=4, k=1, s=-1/2: lhs=-4*r^3 - (18*q - 6)*r^2 - (22*q^2 - 18*q + 3)*r "
+    "- 6*q^3 + 11*q^2 - (9/2)*q + 1/2, rhs=-4*r^3 - (18*q - 12)*r^2 - (22*q^2 - 24*q + 3)*r "
+    "- 6*q^3 + 11*q^2 - (9/2)*q + 1/2",
+    "closed form vs recurrence, n=2, k=1: got -2*r - q, want -2*r - q + 1",
+)
+
+
+def test_shift_suites_list_their_failures_one_shift_value_at_a_time(corrupted_first_kind):
+    results = {r.name: r for r in run_suite("all", 4, SHIFTS[2])}
+    assert results["shift"].failures == CORRUPTED_SHIFT_4
+    assert results["cheon"].failures == CORRUPTED_CHEON_4
+
+
+@pytest.mark.parametrize(
+    "counterexample, failures",
+    [(cauchy_mod.shift_counterexample, CORRUPTED_SHIFT_4), (cauchy_mod.cheon_counterexample, CORRUPTED_CHEON_4[:-1])],
+)
+def test_counterexamples_return_the_suite_texts(corrupted_first_kind, counterexample, failures):
+    outcomes = [counterexample(n, s) for s in SHIFTS[2] for n in range(5)]
+    assert tuple(m for m in outcomes if m is not None) == failures
+
+
+def test_shift_checks_keep_one_shift_value_in_memory():
+    shifts = (F(3), F(-5, 29), F(2, 7), F(-9, 17), F(4, 11), F(-7, 13), F(5, 3), F(-8, 19))
+
+    def peak(values):
+        tracemalloc.start()
+        try:
+            assert all(r.passed for r in run_suite("cheon", 16, values))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_suite("cheon", 16, shifts[:1])  # fills the package caches first
+    assert peak(shifts) < 2 * peak(shifts[:1])
 
 
 @pytest.fixture
