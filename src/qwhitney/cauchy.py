@@ -12,8 +12,9 @@ first-kind triangle:
     c_n(r)       = sum_k w(n, k) / (k + 1)
     chat_n(-r)   = sum_k (-1)^k w(n, k) / (k + 1)
 
-so ``cauchy_second`` substitutes r -> -r into the alternating sum.  At a
-rational point, ``cauchy_value`` takes the same sums over one integer row
+``cauchy_of_row`` takes either sum over one row (the second at -r), and
+``cauchy_poly`` over the last row of ``triangles.triangle_rows`` only.  At
+a rational point, ``cauchy_value`` takes the same sums over one integer row
 of the first-kind triangle and never builds the polynomial.  Each
 construction has an independent oracle: the ``*_integrals`` functions
 build the defining product factor by factor and integrate it termwise
@@ -44,16 +45,14 @@ relations against the second-kind triangle
 and the q = 1 specialization of the shift law where the right side is a
 binomial convolution of classical Cauchy numbers.  Each returns None on
 success and a description of the first failing case otherwise.  Each
-is the last outcome of one pass of ``FirstKindContext``, which checks its
-identity for n = 0..n_max over one first-kind triangle.  A check at n makes
-a context for n; a verification run makes one for its n_max and runs each
-pass over it, a shift law once per shift value.  The three shift laws,
-like the Stirling closed form, take their right side from one
-``BiPoly.sum_of_products`` over the ``triangles.shift_weights`` of n, made
-from one rising-factorial list; the context keeps the weights of every n,
-and the Stirling closed form makes its own.  The oracles above
-never read a context.  Rational arguments are ints or
-Fractions; anything else is a TypeError.
+runs one pass of a ``FirstKindContext`` for n, which builds what row n
+reads, and calls the check of row n only; a verification run makes one
+context for its n_max and calls the check of every row of each pass, a
+shift law once per shift value.  The three shift laws, like the Stirling
+closed form, take their right side from one ``BiPoly.sum_of_products``
+over the ``triangles.shift_weights`` of n, made from one rising-factorial
+list.  The oracles above never read a context.  Rational arguments are
+ints or Fractions; anything else is a TypeError.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import triangles
 from .poly import ONE, Q, R, BiPoly, as_rational
@@ -82,7 +81,7 @@ class CauchyKind(enum.Enum):
     SECOND = "second"
 
 
-def _row_sum(row: tuple[BiPoly, ...], alternating: bool) -> BiPoly:
+def _row_sum(row: Sequence[BiPoly], alternating: bool) -> BiPoly:
     """sum_k w(n, k) / (k + 1) over row n, with sign (-1)^k on each term if alternating, as one
     ``BiPoly.sum_of_products`` over the pairs (+-1/(k + 1), w(n, k)): the constant first, so that
     the kernel's inner loop runs over w(n, k).  It shares no code with ``Series.integrate01``."""
@@ -91,23 +90,28 @@ def _row_sum(row: tuple[BiPoly, ...], alternating: bool) -> BiPoly:
     )
 
 
-def cauchy_first(n: int) -> BiPoly:
-    """c_n(r) as a polynomial in q and r, from the first-kind triangle row."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _row_sum(triangles.whitney_first(n).row(n), alternating=False)
-
-
-def cauchy_second(n: int) -> BiPoly:
-    """chat_n(r), via the alternating row sum evaluated at -r."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _row_sum(triangles.whitney_first(n).row(n), alternating=True).subst_r(-1, 0)
+def cauchy_of_row(kind: CauchyKind, row: Sequence[BiPoly]) -> BiPoly:
+    """c_n(r), or chat_n(r) as the alternating row sum at -r, from row n of the first-kind triangle."""
+    if kind is CauchyKind.FIRST:
+        return _row_sum(row, alternating=False)
+    return _row_sum(row, alternating=True).subst_r(-1, 0)
 
 
 def cauchy_poly(kind: CauchyKind, n: int) -> BiPoly:
-    """Dispatch on kind: c_n(r) or chat_n(r)."""
-    return cauchy_first(n) if kind is CauchyKind.FIRST else cauchy_second(n)
+    """c_n(r) or chat_n(r) as a polynomial in q and r, from the last first-kind row only."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return cauchy_of_row(kind, deque(triangles.triangle_rows(TriangleKind.WHITNEY_FIRST, n), maxlen=1).pop())
+
+
+def cauchy_first(n: int) -> BiPoly:
+    """c_n(r) as a polynomial in q and r; see ``cauchy_poly``."""
+    return cauchy_poly(CauchyKind.FIRST, n)
+
+
+def cauchy_second(n: int) -> BiPoly:
+    """chat_n(r) as a polynomial in q and r; see ``cauchy_poly``."""
+    return cauchy_poly(CauchyKind.SECOND, n)
 
 
 def _integrals(n_max: int, sign: int, root) -> Iterator[BiPoly]:
@@ -220,23 +224,30 @@ def q_cauchy_number(kind: CauchyKind, n: int) -> BiPoly:
 # -- identity verifiers --------------------------------------------------------
 
 
+def _mismatch(lhs: BiPoly, rhs: BiPoly, context: str) -> str | None:
+    return None if lhs == rhs else f"{context}: lhs={lhs}, rhs={rhs}"
+
+
+def _last(checks: Iterator[Callable[[], str | None]]) -> str | None:
+    """Run a pass to its end, building what its last row reads, and call only that row's check."""
+    return deque(checks, maxlen=1).pop()()
+
+
 class FirstKindContext:
     """One first-kind triangle and what the identity checks read from its rows.
 
     Row j of ``triangles.whitney_first(n)`` is the same for every n >= j, so
     one triangle with rows 0..n_max serves every check up to n_max.  Each
-    part is built on first use and then kept: the first- and second-kind
-    triangles, taken from ``triangles.whitney_first`` and
-    ``triangles.whitney_second`` when first read; the row sums c_j(r) and
-    chat_j(r) and the alternating row sums chat_j(-r); and the shift weights
-    of every n over [r|q]_m.  These are the values under test; no oracle is
+    part is built on first use and then kept: the two triangles, read
+    through ``triangles.whitney_first`` and ``triangles.whitney_second``;
+    the row sums c_j(r), chat_j(r) and chat_j(-r); and the shift weights of
+    every n over [r|q]_m.  These are the values under test; no oracle is
     built from them.
 
-    Each ``*_failures`` method checks one identity in one pass over
-    n = 0..n_max and yields one outcome per n: None, or the text of its
-    first failure.  A shift-law pass takes one shift value s and builds what
-    it reads at r = s (c_j(s), or the rows of the triangle) one n at a time;
-    nothing at r = s outlives the pass.
+    Each ``*_checks`` method takes one identity through n = 0..n_max in one
+    pass, building what row n reads as it goes (at r = s for a shift law,
+    not kept past the pass), and yields one check per n: a function that
+    compares row n when called and returns None or its first failure.
     """
 
     def __init__(self, n_max: int):
@@ -255,12 +266,12 @@ class FirstKindContext:
     @cached_property
     def sums(self) -> list[BiPoly]:
         """c_j(r) for j = 0..n_max."""
-        return [_row_sum(self.first.row(j), alternating=False) for j in range(self.n_max + 1)]
+        return [_row_sum(row, alternating=False) for row in self.first.rows]
 
     @cached_property
     def alternating_sums(self) -> list[BiPoly]:
         """chat_j(-r) for j = 0..n_max."""
-        return [_row_sum(self.first.row(j), alternating=True) for j in range(self.n_max + 1)]
+        return [_row_sum(row, alternating=True) for row in self.first.rows]
 
     @cached_property
     def second_sums(self) -> list[BiPoly]:
@@ -273,52 +284,58 @@ class FirstKindContext:
         rise = rising_factorials(self.n_max)
         return [shift_weights(n, rise) for n in range(self.n_max + 1)]
 
-    def shift_failures(self, s: Fraction) -> Iterator[str | None]:
+    def shift_checks(self, s: Fraction) -> Iterator[Callable[[], str | None]]:
         """The shift law at s for n = 0..n_max; see ``shift_counterexample``."""
         at_s = []  # c_j(s) for j <= n, polynomials in q alone
-        for n, (c_n, weights) in enumerate(zip(self.sums, self.weights)):
+        for n, c_n in enumerate(self.sums):
             at_s.append(c_n.subst_r(0, s))
-            lhs = c_n.subst_r(1, s)
-            rhs = BiPoly.sum_of_products(zip(weights, at_s))
-            yield None if lhs == rhs else f"shift law fails at n={n}, s={s}: lhs={lhs}, rhs={rhs}"
+            yield lambda n=n, c_n=c_n: _mismatch(
+                c_n.subst_r(1, s),
+                BiPoly.sum_of_products(zip(self.weights[n], at_s)),
+                f"shift law fails at n={n}, s={s}",
+            )
 
-    def inversion_failures(self) -> Iterator[str | None]:
+    def inversion_checks(self) -> Iterator[Callable[[], str | None]]:
         """Both inversion sums for n = 0..n_max; see ``inversion_counterexample``."""
         for n in range(self.n_max + 1):
-            w2 = self.second.row(n)
-            for alternating, kind in ((False, "first"), (True, "second")):
-                sums = self.alternating_sums if alternating else self.sums
-                lhs = BiPoly.sum_of_products(zip(w2, sums))
-                if lhs != BiPoly.const(Fraction((-1) ** n if alternating else 1, n + 1)):
-                    yield f"{kind}-kind inversion fails at n={n}: got {lhs}"
-                    break
-            else:
-                yield None
 
-    def cheon_failures(self, s: Fraction) -> Iterator[str | None]:
+            def check(n=n) -> str | None:
+                for alternating, kind in ((False, "first"), (True, "second")):
+                    sums = self.alternating_sums if alternating else self.sums
+                    lhs = BiPoly.sum_of_products(zip(self.second.row(n), sums))
+                    if lhs != BiPoly.const(Fraction((-1) ** n if alternating else 1, n + 1)):
+                        return f"{kind}-kind inversion fails at n={n}: got {lhs}"
+                return None
+
+            yield check
+
+    def cheon_checks(self, s: Fraction) -> Iterator[Callable[[], str | None]]:
         """The entrywise shift law at s for n = 0..n_max; see ``cheon_counterexample``."""
         at_s = []  # rows 0..n of the first-kind triangle at r = s
-        for n, weights in enumerate(self.weights):
-            row = self.first.row(n)
+        for n, row in enumerate(self.first.rows):
             at_s.append([w.subst_r(0, s) for w in row])
-            for k, w_nk in enumerate(row):
-                lhs = w_nk.subst_r(1, s)
-                rhs = BiPoly.sum_of_products(zip(weights[k:], (row_at_s[k] for row_at_s in at_s[k:])))
-                if lhs != rhs:
-                    yield f"triangle shift law fails at n={n}, k={k}, s={s}: lhs={lhs}, rhs={rhs}"
-                    break
-            else:
-                yield None
 
-    def classical_failures(self) -> Iterator[str | None]:
+            def check(n=n, row=row) -> str | None:
+                for k, w_nk in enumerate(row):
+                    lhs = w_nk.subst_r(1, s)
+                    rhs = BiPoly.sum_of_products(zip(self.weights[n][k:], (w_s[k] for w_s in at_s[k:])))
+                    if lhs != rhs:
+                        return f"triangle shift law fails at n={n}, k={k}, s={s}: lhs={lhs}, rhs={rhs}"
+                return None
+
+            yield check
+
+    def classical_checks(self) -> Iterator[Callable[[], str | None]]:
         """The q = 1 shift law for n = 0..n_max; see ``classical_shift_counterexample``."""
         rise = rising_factorials(self.n_max, step=ONE)
         numbers = []  # the classical c_j for j <= n
         for n, c_n in enumerate(self.sums):
             numbers.append(cauchy_number(CauchyKind.FIRST, n))
-            lhs = c_n.subst_q(0, 1)
-            rhs = BiPoly.sum_of_products(zip(shift_weights(n, rise), numbers))
-            yield None if lhs == rhs else f"classical shift law fails at n={n}: lhs={lhs}, rhs={rhs}"
+            yield lambda n=n, c_n=c_n: _mismatch(
+                c_n.subst_q(0, 1),
+                BiPoly.sum_of_products(zip(shift_weights(n, rise), numbers)),
+                f"classical shift law fails at n={n}",
+            )
 
 
 def shift_counterexample(n: int, s: Fraction | int) -> str | None:
@@ -329,8 +346,7 @@ def shift_counterexample(n: int, s: Fraction | int) -> str | None:
     while the rising factorial carries the r dependence.  Every c_j is a
     row sum of the one triangle built for n.
     """
-    *_, last = FirstKindContext(n).shift_failures(as_rational(s))
-    return last
+    return _last(FirstKindContext(n).shift_checks(as_rational(s)))
 
 
 def inversion_counterexample(n: int) -> str | None:
@@ -340,8 +356,7 @@ def inversion_counterexample(n: int) -> str | None:
     sum_k W(n, k) chat_k(-r) to (-1)^n/(n+1); chat_k(-r) is the alternating
     row sum itself.  Both sums read the rows of one first-kind triangle.
     """
-    *_, last = FirstKindContext(n).inversion_failures()
-    return last
+    return _last(FirstKindContext(n).inversion_checks())
 
 
 def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
@@ -351,8 +366,7 @@ def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
 
         w_{r+s}(n, k) = sum_j (-1)^(n-j) C(n, j) [r|q]_(n-j) w_s(j, k).
     """
-    *_, last = FirstKindContext(n).cheon_failures(as_rational(s))
-    return last
+    return _last(FirstKindContext(n).cheon_checks(as_rational(s)))
 
 
 def classical_shift_counterexample(n: int) -> str | None:
@@ -361,5 +375,4 @@ def classical_shift_counterexample(n: int) -> str | None:
     c_n(r) at q = 1 must equal
     sum_i C(n, i) (-1)^(n-i) [r|1]_(n-i) c_i with c_i the classical numbers.
     """
-    *_, last = FirstKindContext(n).classical_failures()
-    return last
+    return _last(FirstKindContext(n).classical_checks())

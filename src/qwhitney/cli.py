@@ -36,12 +36,13 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import factorial
 
-from .poly import BiPoly, common_denominator
+from .poly import ZERO, BiPoly, common_denominator
 
-# json, and the modules of the triangles, the Cauchy polynomials, the series
-# and the verification suites, are imported by the subcommands that use
-# them, so that a job loads only what it runs.
+# json, and the modules of the triangles, the Cauchy polynomials and the
+# verification suites, are imported by the subcommands that use them, so
+# that a job loads only what it runs.
 
 FORMATS = ("text", "json", "csv", "latex")
 
@@ -63,10 +64,10 @@ _EXIT_BROKEN_PIPE = 141
 _EXIT_INTERRUPTED = 130
 
 
-# Largest size a command accepts.  A symbolic result of size n (a triangle,
-# the triangle behind a Cauchy polynomial, an EGF to order n) holds about
-# n^3/6 coefficients at once; with --eval only two rows of n + 1 integers
-# are held at a time.
+# Largest size a command accepts.  A symbolic result of size n is printed as
+# about n^3/6 coefficients, but only about two triangle rows are held, as
+# with --eval; the slowest accepted input, egf --which chat --order 200
+# --format json, took 22 s at a peak RSS of 80 MB (README).
 MAX_SYMBOLIC_SIZE = 200
 MAX_EVAL_SIZE = 2000
 
@@ -154,7 +155,7 @@ def _parse_which(text: str) -> str:
 
 
 def _poly_str(p: BiPoly, fmt: str) -> str:
-    return p.to_latex() if fmt == "latex" else p.to_text()
+    return p.to_json() if fmt == "json" else p.to_latex() if fmt == "latex" else p.to_text()
 
 
 def _json_head(header: dict) -> str:
@@ -189,8 +190,25 @@ def _eval_rows(values, fmt: str):
         yield text
 
 
+def _write_rows(header: dict, rows, fmt: str, csv_head: str) -> int:
+    """Write the rows of a triangle or an EGF, one string each, as they are made, so only one is
+    held at a time: in json one element of the "entries" array, else its own lines after csv_head."""
+    write = sys.stdout.write
+    if fmt == "json":
+        write(_json_head(header) + "[")
+        for n, row in enumerate(rows):
+            write(("," if n else "") + row)
+        write("]}\n")
+        return 0
+    if fmt == "csv":
+        write(csv_head)
+    for row in rows:
+        write(row)
+    return 0
+
+
 def _cmd_triangle(args: argparse.Namespace) -> int:
-    from .triangles import TriangleKind, decimal_rows, triangle
+    from .triangles import TriangleKind, decimal_rows, triangle_rows
 
     kind = args.kind
     if args.r0 is not None and kind != "sr":
@@ -212,29 +230,14 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         # str() of a Decimal prints its digits in linear time.
         rows = _eval_rows(decimal_rows(base, n_max, *point), fmt)
     else:
-        tri = triangle(TriangleKind(kind), n_max, r0 if kind == "sr" else None)
-        if fmt == "json":
-            rows = ("[" + ",".join([p.to_json() for p in tri.row(n)]) + "]" for n in range(n_max + 1))
-        else:
-            cell = "{},{},{}\n" if fmt == "csv" else "n={} k={}: {}\n"
-            rows = (
-                "".join([cell.format(n, k, _poly_str(p, fmt)) for k, p in enumerate(tri.row(n))])
-                for n in range(n_max + 1)
-            )
-
-    # Rows are written as they are made, so only one is held at a time.
-    write = sys.stdout.write
-    if fmt == "json":
-        write(_json_head(header) + "[")
-        for n, row in enumerate(rows):
-            write(("," if n else "") + row)
-        write("]}\n")
-        return 0
-    if fmt == "csv":
-        write("n,k,value\n")
-    for row in rows:
-        write(row)
-    return 0
+        cell = "{},{},{}\n" if fmt == "csv" else "n={} k={}: {}\n"
+        rows = (
+            "[" + ",".join([_poly_str(p, fmt) for p in row]) + "]"
+            if fmt == "json"
+            else "".join([cell.format(n, k, _poly_str(p, fmt)) for k, p in enumerate(row)])
+            for n, row in enumerate(triangle_rows(TriangleKind(kind), n_max, args.r0))
+        )
+    return _write_rows(header, rows, fmt, "n,k,value\n")
 
 
 def _cmd_cauchy(args: argparse.Namespace) -> int:
@@ -245,7 +248,7 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
     header: dict[str, object] = {"kind": args.kind, "n": args.n}
     if args.eval is None:
         poly = cauchy_poly(kind, args.n)
-        out = poly.to_json() if fmt == "json" else _poly_str(poly, fmt)
+        out = _poly_str(poly, fmt)
     else:
         q0, rv = args.eval
         header["eval"] = {"q": str(q0), "r": str(rv)}
@@ -262,29 +265,23 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
 
 
 def _cmd_egf(args: argparse.Namespace) -> int:
-    from .series import cauchy_first_egf, cauchy_second_egf, whitney_column_egf
+    """[t^n] of the EGF for n = 0..order: c_n/n!, chat_n/n! or w(n, K)/n!, from the first-kind rows."""
+    from .cauchy import CauchyKind, cauchy_of_row
+    from .triangles import TriangleKind, triangle_rows
 
     which = args.which
     order = args.order
-    if which == "c":
-        s = cauchy_first_egf(order)
-    elif which == "chat":
-        s = cauchy_second_egf(order)
-    else:
-        s = whitney_column_egf(int(which[2:]), order)
     fmt = args.format
-
-    if fmt == "json":
-        entries = ",".join([s.coeff(n).to_json() for n in range(order + 1)])
-        print(_json_head({"kind": which, "order": order}) + f"[{entries}]}}")
-    elif fmt == "csv":
-        print("n,value")
-        for n in range(order + 1):
-            print(f"{n},{s.coeff(n).to_text()}")
-    else:
-        for n in range(order + 1):
-            print(f"t^{n}: {_poly_str(s.coeff(n), fmt)}")
-    return 0
+    rows = triangle_rows(TriangleKind.WHITNEY_FIRST, order)
+    if which in ("c", "chat"):
+        terms = (cauchy_of_row(CauchyKind.FIRST if which == "c" else CauchyKind.SECOND, row) for row in rows)
+    elif (k := int(which[2:])) <= order:
+        terms = (row[k] if k <= n else ZERO for n, row in enumerate(rows))
+    else:  # column k starts at row k
+        terms = [ZERO] * (order + 1)
+    cell = {"json": "{1}", "csv": "{0},{1}\n"}.get(fmt, "t^{0}: {1}\n")
+    entries = (cell.format(n, _poly_str(p.scale(Fraction(1, factorial(n))), fmt)) for n, p in enumerate(terms))
+    return _write_rows({"kind": which, "order": order}, entries, fmt, "n,value\n")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -15,8 +15,9 @@ x: ``mul_linear`` multiplies by a linear factor, ``integrate01`` integrates
 exactly over [0, 1] (termwise, coefficient 1/(k+1) for t^k; no numerical
 quadrature anywhere), and ``subst_t`` evaluates by Horner's rule.
 
-On top of the generic type sit the generating functions used by the
-verification suites.  With L(t) = ln(1 + q*t) / q, whose coefficients are
+On top of the generic type sit the generating functions, the egf suite's
+oracle for the triangle rows (the ``egf`` command prints from the rows, not
+from these).  With L(t) = ln(1 + q*t) / q, whose coefficients are
 [t^n] L = (-1)^(n+1) * q^(n-1) / n for n >= 1:
 
     column k of the first-kind triangle:  (1 + q*t)^(-r/q) * L^k / k!

@@ -119,7 +119,7 @@ def _suite_egf(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes
 
 
 def _suite_inversion(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
-    return ctx.inversion_failures()
+    return (check() for check in ctx.inversion_checks())
 
 
 def _suite_orthogonality(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
@@ -144,12 +144,12 @@ def _suite_orthogonality(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) ->
 
 def _suite_shift(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
     for s in shifts:
-        yield from ctx.shift_failures(s)
+        yield from (check() for check in ctx.shift_checks(s))
 
 
 def _suite_cheon(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
     for s in shifts:
-        yield from ctx.cheon_failures(s)
+        yield from (check() for check in ctx.cheon_checks(s))
     tri = ctx.first
     for n, row in enumerate(triangles.whitney_first_cheon_rows(ctx.n_max)):
         for k, w in enumerate(row):
@@ -206,12 +206,12 @@ def _suite_reductions(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _O
 
 def _suite_classical(ctx: FirstKindContext, shifts: tuple[Fraction, ...]) -> _Outcomes:
     checks = zip(
-        ctx.classical_failures(),
+        ctx.classical_checks(),
         cauchy.cauchy_first_integrals(ctx.n_max),
         cauchy.cauchy_second_integrals(ctx.n_max),
     )
-    for n, (shift_failure, first_integral, second_integral) in enumerate(checks):
-        yield shift_failure
+    for n, (shift_check, first_integral, second_integral) in enumerate(checks):
+        yield shift_check()
         got_first = cauchy.cauchy_number(CauchyKind.FIRST, n)
         got_second = cauchy.cauchy_number(CauchyKind.SECOND, n)
         yield _check(

@@ -14,21 +14,19 @@ Second kind (W):  x^n = sum_k W(n, k) * (x - r | q)_k
 Setting q = 1, r = 0 in the first kind gives the signed Stirling numbers of
 the first kind; q = 1, r = r0 gives the r-Stirling variant shifted so that
 entry (n, k) holds the coefficient tied to (n + r0, k + r0) in the doubly
-shifted convention.  Entries are BiPoly values.  At a rational point
-(q0, r0) = (A/D, C/D), ``scaled_rows`` runs the same recurrence step over
-the integers u(n, k) = w(n, k) * D^(n-k) (or W); the Stirling kinds are
-those integer rows at q = 1, r = r0, where D = 1.  ``decimal_rows`` runs
-that step over integer-valued Decimals in an exact context, so that a row
-can be printed with ``str()`` in time linear in its digits, and reduces
-each row to lowest terms in one loop as it is read out.  Only primes of D
-can cancel, and the step is linear with integer multipliers, so the same
-step over ints mod D^J (a residue row, about one machine word per entry)
-gives gcd(u, D^J); an entry goes back to its full Decimal value only when
-some prime of D divides it to its full power in D^J.  Each column n - k
-keeps its last reduced denominator and reuses it while its gcd repeats.
-``row_poly`` reassembles sum_k w(n, k) x^k as a ``Series`` of order n, to
-check against the defining product, and ``whitney_first_cheon`` computes
-one first-kind entry from the closed double-sum form
+shifted convention.  Entries are BiPoly values.  ``triangle_rows`` yields
+the rows one at a time, and the command line prints each as it is made;
+``triangle`` holds them all.  At a rational point (q0, r0) = (A/D, C/D),
+``scaled_rows`` runs the same recurrence step over the integers
+u(n, k) = w(n, k) * D^(n-k) (or W); the Stirling kinds are those integer
+rows at q = 1, r = r0, where D = 1.  ``decimal_rows`` runs that step over
+integer-valued Decimals in an exact context, so that a row can be printed
+with ``str()`` in time linear in its digits, and reduces each row to
+lowest terms in one loop as it is read out, from the same step over ints
+mod D^J.  ``row_poly`` reassembles sum_k w(n, k) x^k as a ``Series`` of
+order n, to check against the defining product, and
+``whitney_first_cheon`` computes one first-kind entry from the closed
+double-sum form
 
     w(n, k) = sum_{i} C(n, i) * (-1)^(n-i) * q^(i-k) * [r|q]_(n-i) * s(i, k)
 
@@ -132,28 +130,31 @@ def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0) -> Iterator[l
         yield row
 
 
-def triangle(kind: TriangleKind, n_max: int, r0: int | None = None) -> Triangle:
-    """Build a triangle by kind; r0 applies to the r-Stirling kind only.
+def triangle_rows(kind: TriangleKind, n_max: int, r0: int | None = None) -> Iterator[list[BiPoly]]:
+    """Rows 0..n_max of a triangle by kind, one at a time; r0 applies to the r-Stirling kind only.
 
-    The w and W kinds run the row step over BiPoly with symbolic q and r.
-    The Stirling kinds are the first kind at the integer point q = 1,
-    r = r0 (0 for s), where the scaled integer rows of ``scaled_rows`` are
-    the entries themselves.
+    The arguments are checked at the call.  The w and W kinds run the row
+    step over BiPoly with symbolic q and r; the Stirling kinds are the
+    integer rows of ``scaled_rows`` at q = 1, r = r0 (0 for s).  The step
+    keeps only its last row, so a caller that drops each row holds two.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if kind is TriangleKind.R_STIRLING_FIRST:
-        r0 = 0 if r0 is None else r0
-        if not isinstance(r0, int) or r0 < 0:
+        if r0 is not None and (not isinstance(r0, int) or r0 < 0):
             raise ValueError("r0 must be a nonnegative integer")
     elif r0 is not None:
         raise ValueError("r0 only applies to the r-Stirling kind")
     if kind in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
-        rows = _rows(kind, n_max, Q, R, ONE)
-    else:
-        _, ints = scaled_rows(TriangleKind.WHITNEY_FIRST, n_max, 1, r0 or 0)  # r0 is None for s
-        rows = ([BiPoly.const(u) for u in row] for row in ints)
-    return Triangle(kind, n_max, tuple(tuple(row) for row in rows), r0=r0)
+        return _rows(kind, n_max, Q, R, ONE)
+    _, ints = scaled_rows(TriangleKind.WHITNEY_FIRST, n_max, 1, r0 or 0)  # r0 is None for s
+    return ([BiPoly.const(u) for u in row] for row in ints)
+
+
+def triangle(kind: TriangleKind, n_max: int, r0: int | None = None) -> Triangle:
+    """The rows of ``triangle_rows``, all held; r0 reads 0 for the r-Stirling kind when None."""
+    rows = tuple(tuple(row) for row in triangle_rows(kind, n_max, r0))
+    return Triangle(kind, n_max, rows, r0=r0 or 0 if kind is TriangleKind.R_STIRLING_FIRST else None)
 
 
 def whitney_first(n_max: int) -> Triangle:

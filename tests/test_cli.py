@@ -3,8 +3,11 @@ import contextlib
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,10 +16,11 @@ import pytest
 from qwhitney.cauchy import CauchyKind, cauchy_first, cauchy_second, q_cauchy_number
 from qwhitney.cli import main
 from qwhitney.poly import ONE, BiPoly
-from qwhitney.series import whitney_column_egf
+from qwhitney.series import cauchy_first_egf, cauchy_second_egf, whitney_column_egf
 from qwhitney.triangles import (
     Triangle,
     TriangleKind,
+    triangle_rows,
     whitney_first,
     whitney_first_values,
     whitney_second_values,
@@ -198,15 +202,27 @@ class TestFormats:
         assert code == 0
         assert out == "t^0: 1\nt^1: -r + 1/2\n"
 
-    def test_egf_json_round_trip(self, capsys):
-        code, out, _ = run_cli(capsys, "egf", "--which", "w:1", "--order", "3", "--format", "json")
+    # The command prints from the triangle rows; the series products of
+    # qwhitney.series are the oracle it is checked against.
+    @pytest.mark.parametrize(
+        "which, oracle",
+        [
+            ("c", cauchy_first_egf),
+            ("chat", cauchy_second_egf),
+            ("w:0", lambda order: whitney_column_egf(0, order)),
+            ("w:3", lambda order: whitney_column_egf(3, order)),
+        ],
+    )
+    def test_egf_json_round_trip(self, capsys, which, oracle):
+        code, out, _ = run_cli(capsys, "egf", "--which", which, "--order", "12", "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["kind"] == "w:1"
-        assert payload["order"] == 3
-        column = whitney_column_egf(1, 3)
+        assert payload["kind"] == which
+        assert payload["order"] == 12
+        series = oracle(12)
+        assert len(payload["entries"]) == 13
         for n, records in enumerate(payload["entries"]):
-            assert BiPoly.from_records(records) == column.coeff(n)
+            assert BiPoly.from_records(records) == series.coeff(n)
 
     def test_egf_csv(self, capsys):
         code, out, _ = run_cli(capsys, "egf", "--which", "chat", "--order", "1", "--format", "csv")
@@ -328,6 +344,34 @@ class TestLargeAndInterruptedOutput:
         assert err == b""
         assert code == 141
 
+    # A symbolic result of size n prints about n^3/6 coefficients but holds
+    # about two rows: its peak is compared with that of the row step alone
+    # at the same n, which holds two rows.  A row grows like n^2 terms, so
+    # two rows alone grow about 4x from n = 30 to 60, and the whole
+    # triangle about 8x.
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (("triangle", "--kind", "w", "--n-max"), TriangleKind.WHITNEY_FIRST),
+            (("triangle", "--kind", "W", "--format", "json", "--n-max"), TriangleKind.WHITNEY_SECOND),
+            (("cauchy", "--kind", "first", "--n"), TriangleKind.WHITNEY_FIRST),
+        ],
+    )
+    def test_symbolic_output_holds_about_two_rows(self, argv, kind):
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main([*argv, "30"]) == 0  # imports the command's modules first
+            command = peak(lambda: main([*argv, "60"]))
+        rows = peak(lambda: deque(triangle_rows(kind, 60), maxlen=1))
+        assert command < 3 * rows
+
     def test_interrupt_exits_130(self, capsys, monkeypatch):
         import qwhitney.suites as suites_mod
 
@@ -420,7 +464,7 @@ class TestImportsPerCommand:
         [
             (("triangle", "--kind", "w", "--n-max", "3"), ("qwhitney.cauchy", "qwhitney.suites", "json")),
             (("verify", "--suite", "shift", "--n-max", "2"), ("json",)),
-            (("egf", "--which", "c", "--order", "3"), ("qwhitney.triangles", "qwhitney.cauchy", "json")),
+            (("egf", "--which", "c", "--order", "3"), ("qwhitney.suites", "json")),
         ],
     )
     def test_modules_left_unimported(self, argv, absent):

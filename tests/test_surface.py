@@ -81,3 +81,33 @@ def test_the_internals_check_sees_each_kind_of_use():
     assert _internals_used(ast.parse(source)) == [
         (1, "FIELD"), (1, "_key"), (2, "_terms"), (3, "_of"), (4, "_DR_MASK")
     ]
+
+
+def _imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(top-level function, or "" for module level; module) for each import, with package-relative
+    names made absolute and ``from M import N`` listed as both M and M.N."""
+    found = []
+    for top in tree.body:
+        scope = top.name if isinstance(top, ast.FunctionDef) else ""
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                found += [(scope, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["qwhitney" if node.level else "", node.module]))
+                found += [(scope, base)] + [(scope, f"{base}.{alias.name}") for alias in node.names]
+    return found
+
+
+def test_the_cli_prints_from_the_rows_and_runs_the_suites_in_verify_only():
+    # The series products are the egf suite's oracle, not a route the CLI prints.
+    imports = _imports(ast.parse((Path(qwhitney.__file__).parent / "cli.py").read_text()))
+    assert [scope for scope, module in imports if module == "qwhitney.series"] == []
+    assert {scope for scope, module in imports if module == "qwhitney.suites"} == {"_cmd_verify"}
+
+
+def test_the_imports_check_sees_each_kind_of_import():
+    source = "import qwhitney.series\ndef f():\n    from . import series\n    from .suites import run_suite\n"
+    assert _imports(ast.parse(source)) == [
+        ("", "qwhitney.series"), ("f", "qwhitney"), ("f", "qwhitney.series"),
+        ("f", "qwhitney.suites"), ("f", "qwhitney.suites.run_suite"),
+    ]
