@@ -36,6 +36,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 from .poly import ZERO, BiPoly, common_denominator
@@ -66,8 +67,11 @@ _EXIT_INTERRUPTED = 130
 
 # Largest size a command accepts.  A symbolic result of size n is printed as
 # about n^3/6 coefficients, but only about two triangle rows are held, as
-# with --eval; the slowest accepted input, egf --which chat --order 200
-# --format json, took 22 s at a peak RSS of 80 MB (README).
+# with --eval, and a triangle's text is written PIECE_CELLS cells at a time;
+# the slowest accepted symbolic input, egf --which chat --order 200
+# --format json, took 22 s at a peak RSS of 80 MB, and the slowest --eval
+# point found at 2000, triangle --kind w --eval q=65535/65536,r=-65533/65536,
+# 290 s at 64 MB (README).
 MAX_SYMBOLIC_SIZE = 200
 MAX_EVAL_SIZE = 2000
 
@@ -80,7 +84,8 @@ MAX_VERIFY_SIZE = 48
 # least common denominator D, counted in the largest of |A|, |C| and D.
 # An entry of size n has about n times that many digits (plus n*log10(n)
 # from the factors k*A + C), and a row holds n + 1 of them, so this bounds
-# the memory of a row: about 2000 * 10^4 digits at MAX_EVAL_SIZE.  The
+# the memory of the two rows held: about 2000 * 10^4 digits each at
+# MAX_EVAL_SIZE.  Their text is never held whole, only one piece.  The
 # points in use are far below it: 3 digits at n = 300 in the benchmark,
 # and D = 10^200 at n <= 40 in the tests.
 MAX_EVAL_DIGITS = 10_000
@@ -165,45 +170,66 @@ def _json_head(header: dict) -> str:
     return json.dumps(header, separators=(",", ":"))[:-1] + ',"entries":'
 
 
-def _eval_rows(values, fmt: str):
-    """One string per row of Decimal (num, den) pairs, in the text, csv or json layout.
+# Most cells in one piece of triangle output.  A piece is joined and written
+# as soon as it is made, so output text is held one piece at a time, never a
+# whole row (a row at MAX_EVAL_SIZE is tens of MB of digits).
+PIECE_CELLS = 64
+
+
+def _eval_pieces(values, fmt: str):
+    """The text of rows of Decimal (num, den) pairs in the text, csv or json layout,
+    in pieces of at most PIECE_CELLS cells; in json the whole "entries" array.
 
     A den object that ``decimal_rows`` shares down a column n - k is printed
     once: each column keeps its last den with the text after the numerator,
-    and a row is joined from these pieces, not copied into each cell.
+    and a piece is joined from these parts, not copied into each cell.
     """
     one = Decimal(1)  # compares with a Decimal faster than the int 1 does
     as_json = fmt == "json"
     ends: list = []  # column n - k: its last den and the text after the numerator
     for n, row in enumerate(values):
         pre, sep = (f"{n},", ",") if fmt == "csv" else (f"n={n} k=", ": ")
+        first = "],[" if n else "[["
         ends.append((None, ""))
-        parts = []
-        for k, (a, b) in enumerate(row):
-            end = ends[n - k]
-            if end[0] is not b:
-                end = ends[n - k] = (b, f"{b}}}" if as_json else f"/{b}\n" if b != one else "\n")
-            head = f'{"," if k else "["}{{"num":{a!s},"den":' if as_json else f"{pre}{k}{sep}{a!s}"
-            parts += (head, end[1])
-        text = "".join(parts + ["]"] if as_json else parts)
-        del parts  # not held while the row is written
-        yield text
+        for k0 in range(0, n + 1, PIECE_CELLS):
+            parts = []
+            for k, (a, b) in enumerate(row[k0 : k0 + PIECE_CELLS], k0):
+                end = ends[n - k]
+                if end[0] is not b:
+                    end = ends[n - k] = (b, f"{b}}}" if as_json else f"/{b}\n" if b != one else "\n")
+                head = f'{"," if k else first}{{"num":{a!s},"den":' if as_json else f"{pre}{k}{sep}{a!s}"
+                parts += (head, end[1])
+            yield "".join(parts)
+    if as_json:
+        yield "]]"
 
 
-def _write_rows(header: dict, rows, fmt: str, csv_head: str) -> int:
-    """Write the rows of a triangle or an EGF, one string each, as they are made, so only one is
-    held at a time: in json one element of the "entries" array, else its own lines after csv_head."""
-    write = sys.stdout.write
+def _poly_pieces(rows, fmt: str):
+    """The text of rows of BiPoly entries, in pieces of at most PIECE_CELLS cells;
+    in json the whole "entries" array."""
+    cell = {"json": "{3}{2}", "csv": "{0},{1},{2}\n"}.get(fmt, "n={0} k={1}: {2}\n")
+    for n, row in enumerate(rows):
+        first = "],[" if n else "[["
+        for k0 in range(0, n + 1, PIECE_CELLS):
+            yield "".join(
+                [
+                    cell.format(n, k, _poly_str(p, fmt), "," if k else first)
+                    for k, p in enumerate(row[k0 : k0 + PIECE_CELLS], k0)
+                ]
+            )
     if fmt == "json":
-        write(_json_head(header) + "[")
-        for n, row in enumerate(rows):
-            write(("," if n else "") + row)
-        write("]}\n")
-        return 0
-    if fmt == "csv":
-        write(csv_head)
-    for row in rows:
-        write(row)
+        yield "]]"
+
+
+def _write_rows(header: dict, pieces, fmt: str, csv_head: str) -> int:
+    """Write the output of a triangle or an EGF: its head, each text piece as it is made, and
+    its tail.  In json the pieces make the "entries" array of the header, else lines after csv_head."""
+    write = sys.stdout.write
+    write(_json_head(header) if fmt == "json" else csv_head if fmt == "csv" else "")
+    for piece in pieces:
+        write(piece)
+    if fmt == "json":
+        write("}\n")
     return 0
 
 
@@ -228,16 +254,10 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
         point = (q0, rv) if kind in ("w", "W") else (1, r0)
         base = TriangleKind.WHITNEY_SECOND if kind == "W" else TriangleKind.WHITNEY_FIRST
         # str() of a Decimal prints its digits in linear time.
-        rows = _eval_rows(decimal_rows(base, n_max, *point), fmt)
+        pieces = _eval_pieces(decimal_rows(base, n_max, *point), fmt)
     else:
-        cell = "{},{},{}\n" if fmt == "csv" else "n={} k={}: {}\n"
-        rows = (
-            "[" + ",".join([_poly_str(p, fmt) for p in row]) + "]"
-            if fmt == "json"
-            else "".join([cell.format(n, k, _poly_str(p, fmt)) for k, p in enumerate(row)])
-            for n, row in enumerate(triangle_rows(TriangleKind(kind), n_max, args.r0))
-        )
-    return _write_rows(header, rows, fmt, "n,k,value\n")
+        pieces = _poly_pieces(triangle_rows(TriangleKind(kind), n_max, args.r0), fmt)
+    return _write_rows(header, pieces, fmt, "n,k,value\n")
 
 
 def _cmd_cauchy(args: argparse.Namespace) -> int:
@@ -272,16 +292,25 @@ def _cmd_egf(args: argparse.Namespace) -> int:
     which = args.which
     order = args.order
     fmt = args.format
-    rows = triangle_rows(TriangleKind.WHITNEY_FIRST, order)
-    if which in ("c", "chat"):
+    # Column k of a row reads only columns k - 1 and k of the row before, so
+    # w:K runs the row step on columns 0..K.
+    k = int(which[2:]) if which.startswith("w:") else None
+    rows = triangle_rows(TriangleKind.WHITNEY_FIRST, order, k_max=k)
+    if k is None:
         terms = (cauchy_of_row(CauchyKind.FIRST if which == "c" else CauchyKind.SECOND, row) for row in rows)
-    elif (k := int(which[2:])) <= order:
+    elif k <= order:
         terms = (row[k] if k <= n else ZERO for n, row in enumerate(rows))
     else:  # column k starts at row k
         terms = [ZERO] * (order + 1)
-    cell = {"json": "{1}", "csv": "{0},{1}\n"}.get(fmt, "t^{0}: {1}\n")
-    entries = (cell.format(n, _poly_str(p.scale(Fraction(1, factorial(n))), fmt)) for n, p in enumerate(terms))
-    return _write_rows({"kind": which, "order": order}, entries, fmt, "n,value\n")
+    # One cell per piece: a cell can be megabytes of text at the size limit.
+    cell = {"json": "{2}{1}", "csv": "{0},{1}\n"}.get(fmt, "t^{0}: {1}\n")
+    pieces = (
+        cell.format(n, _poly_str(p.scale(Fraction(1, factorial(n))), fmt), "," if n else "[")
+        for n, p in enumerate(terms)
+    )
+    if fmt == "json":
+        pieces = chain(pieces, ["]"])
+    return _write_rows({"kind": which, "order": order}, pieces, fmt, "n,value\n")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

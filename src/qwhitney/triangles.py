@@ -98,7 +98,7 @@ class Triangle(NamedTuple):
         return Series(n, self.row(n))
 
 
-def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0) -> Iterator[list]:
+def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0, k_max: int | None = None) -> Iterator[list]:
     """Rows 0..n_max of w or W, with q and r taken from any commutative ring.
 
     Both triangles follow one step, row[k] = prev[k-1] + m_k * prev[k] with
@@ -108,10 +108,13 @@ def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0) -> Iterator[l
     ``BiPoly.add_mul``, which forms the sum in one numerator map, and
     a + m*b for int and Decimal.  With integer q, r and one, a nonzero
     ``mod`` reduces each row mod it, so the rows hold the residues of the
-    integer rows.
+    integer rows.  A ``k_max`` cuts each row after column k_max: column k
+    reads only columns k - 1 and k of the row before, so the columns kept
+    are those of the whole rows.
     """
     second = kind is TriangleKind.WHITNEY_SECOND
     fused = isinstance(one, BiPoly)
+    last = n_max if k_max is None else k_max
     mults = []
     row = [one]
     yield row
@@ -119,35 +122,41 @@ def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0) -> Iterator[l
         if second:
             mults.append(n * q + r)
         else:
-            mults = [-(n * q + r)] * (n + 1)
+            mults = [-(n * q + r)] * len(row)
         row = [
             mults[0] * row[0],
             *[a.add_mul(m, b) if fused else a + m * b for a, m, b in zip(row, mults[1:], row[1:])],
-            row[-1],
+            *row[n:last],  # the diagonal entry, while n < last
         ]
         if mod:
             row = [u % mod for u in row]
         yield row
 
 
-def triangle_rows(kind: TriangleKind, n_max: int, r0: int | None = None) -> Iterator[list[BiPoly]]:
+def triangle_rows(
+    kind: TriangleKind, n_max: int, r0: int | None = None, k_max: int | None = None
+) -> Iterator[list[BiPoly]]:
     """Rows 0..n_max of a triangle by kind, one at a time; r0 applies to the r-Stirling kind only.
 
     The arguments are checked at the call.  The w and W kinds run the row
     step over BiPoly with symbolic q and r; the Stirling kinds are the
-    integer rows of ``scaled_rows`` at q = 1, r = r0 (0 for s).  The step
-    keeps only its last row, so a caller that drops each row holds two.
+    integer rows of the step at q = 1, r = r0 (0 for s).  The step keeps
+    only its last row, so a caller that drops each row holds two.  A
+    ``k_max`` gives each row's columns 0..k_max only, and the step computes
+    no others.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if k_max is not None and k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     if kind is TriangleKind.R_STIRLING_FIRST:
         if r0 is not None and (not isinstance(r0, int) or r0 < 0):
             raise ValueError("r0 must be a nonnegative integer")
     elif r0 is not None:
         raise ValueError("r0 only applies to the r-Stirling kind")
     if kind in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
-        return _rows(kind, n_max, Q, R, ONE)
-    _, ints = scaled_rows(TriangleKind.WHITNEY_FIRST, n_max, 1, r0 or 0)  # r0 is None for s
+        return _rows(kind, n_max, Q, R, ONE, k_max=k_max)
+    ints = _rows(TriangleKind.WHITNEY_FIRST, n_max, 1, r0 or 0, 1, k_max=k_max)  # r0 is None for s
     return ([BiPoly.const(u) for u in row] for row in ints)
 
 

@@ -80,7 +80,8 @@ _USAGE = (
 def corpus_argvs() -> list[tuple[str, ...]]:
     """Every triangle kind x format at n in {0, 1, 2, 12}, symbolic and at each
     evaluation point; w and W at n = 60 at two evaluation points, in every
-    format; cauchy and egf in every format; verify of every suite
+    format; w and W at n = 130 at one evaluation point and symbolic at n = 70,
+    in every format; cauchy and egf in every format; verify of every suite
     at n <= 6 with and without shift values; the usage errors."""
     argvs: list[tuple[str, ...]] = []
     for kind in ("w", "W", "s", "sr"):
@@ -95,6 +96,11 @@ def corpus_argvs() -> list[tuple[str, ...]]:
         for point in ("q=16/23,r=-17/29", "q=5/12,r=-7/18"):
             for fmt in FORMATS:
                 argvs.append(("triangle", "--kind", kind, "--n-max", "60", "--eval", point, "--format", fmt))
+    # Rows longer than cli.PIECE_CELLS, so that rows are written in more than one piece.
+    for kind in ("w", "W"):
+        for size, at in (("130", ("--eval", "q=16/23,r=-17/29")), ("70", ())):
+            for fmt in FORMATS:
+                argvs.append(("triangle", "--kind", kind, "--n-max", size, *at, "--format", fmt))
     for kind in ("first", "second"):
         for n in ("0", "1", "2", "5", "12"):
             for fmt in FORMATS:

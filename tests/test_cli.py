@@ -20,6 +20,7 @@ from qwhitney.series import cauchy_first_egf, cauchy_second_egf, whitney_column_
 from qwhitney.triangles import (
     Triangle,
     TriangleKind,
+    decimal_rows,
     triangle_rows,
     whitney_first,
     whitney_first_values,
@@ -51,6 +52,16 @@ def no_digit_limit():
         yield
     finally:
         _set_digits(before)
+
+
+def _traced_peak(run) -> int:
+    """The peak of the memory that tracemalloc traces while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPinnedExamples:
@@ -358,19 +369,32 @@ class TestLargeAndInterruptedOutput:
         ],
     )
     def test_symbolic_output_holds_about_two_rows(self, argv, kind):
-        def peak(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             assert main([*argv, "30"]) == 0  # imports the command's modules first
-            command = peak(lambda: main([*argv, "60"]))
-        rows = peak(lambda: deque(triangle_rows(kind, 60), maxlen=1))
+            command = _traced_peak(lambda: main([*argv, "60"]))
+        rows = _traced_peak(lambda: deque(triangle_rows(kind, 60), maxlen=1))
         assert command < 3 * rows
+
+    # An --eval row is written in pieces of cli.PIECE_CELLS cells, so the
+    # command holds its rows of Decimals and one piece of text.  A row's
+    # text is about twice its Decimals: written whole, the command's peak
+    # read 2.2-2.3x that of the rows alone, and in pieces 1.6-1.7x.
+    @pytest.mark.parametrize(
+        "kind, fmt",
+        [
+            (TriangleKind.WHITNEY_FIRST, "text"),
+            (TriangleKind.WHITNEY_SECOND, "json"),
+            (TriangleKind.WHITNEY_SECOND, "csv"),
+        ],
+    )
+    def test_eval_output_holds_its_rows_and_one_piece(self, kind, fmt):
+        point = (F(19, 29), F(-31, 17))
+        argv = ["triangle", "--kind", kind.value, "--eval", "q=19/29,r=-31/17", "--format", fmt, "--n-max"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main([*argv, "20"]) == 0  # imports the command's modules first
+            command = _traced_peak(lambda: main([*argv, "200"]))
+        rows = _traced_peak(lambda: deque(decimal_rows(kind, 200, *point), maxlen=1))
+        assert command < 1.9 * rows
 
     def test_interrupt_exits_130(self, capsys, monkeypatch):
         import qwhitney.suites as suites_mod

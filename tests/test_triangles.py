@@ -22,6 +22,7 @@ from qwhitney.triangles import (
     stirling_first,
     stirling_first_row,
     triangle,
+    triangle_rows,
     whitney_first,
     whitney_first_cheon,
     whitney_first_cheon_rows,
@@ -455,3 +456,16 @@ class TestDispatcher:
         assert tri.n_max == 2
         assert tri.kind is TriangleKind.WHITNEY_FIRST
         assert tri.r0 is None
+
+    @pytest.mark.parametrize("kind", list(TriangleKind))
+    @pytest.mark.parametrize("k_max", [0, 1, 3, 8, 9, 20])
+    def test_rows_cut_after_a_column_keep_its_entries(self, kind, k_max):
+        r0 = 2 if kind is TriangleKind.R_STIRLING_FIRST else None
+        whole = triangle_rows(kind, 8, r0)
+        cut = triangle_rows(kind, 8, r0, k_max=k_max)
+        assert list(cut) == [row[: k_max + 1] for row in whole]
+
+    @pytest.mark.parametrize("kind", list(TriangleKind))
+    def test_negative_column_bound_rejected(self, kind):
+        with pytest.raises(ValueError):
+            triangle_rows(kind, 3, k_max=-1)
