@@ -41,9 +41,9 @@ from math import factorial
 
 from .poly import ZERO, BiPoly, common_denominator
 
-# json, and the modules of the triangles, the Cauchy polynomials and the
-# verification suites, are imported by the subcommands that use them, so
-# that a job loads only what it runs.
+# The modules of the triangles, the Cauchy polynomials and the verification
+# suites are imported by the subcommands that use them, so that a job loads
+# only what it runs; no job imports json.
 
 FORMATS = ("text", "json", "csv", "latex")
 
@@ -67,11 +67,14 @@ _EXIT_INTERRUPTED = 130
 
 # Largest size a command accepts.  A symbolic result of size n is printed as
 # about n^3/6 coefficients, but only about two triangle rows are held, as
-# with --eval, and a triangle's text is written PIECE_CELLS cells at a time;
+# with --eval, a triangle's text is written PIECE_CELLS cells at a time, and
+# a Cauchy polynomial's text is written without a copy joined to its head;
 # the slowest accepted symbolic input, egf --which chat --order 200
-# --format json, took 22 s at a peak RSS of 80 MB, and the slowest --eval
-# point found at 2000, triangle --kind w --eval q=65535/65536,r=-65533/65536,
-# 290 s at 64 MB (README).
+# --format json, took 22 s at a peak RSS of 80 MB, and cauchy --kind first
+# --n 200 --format json 0.9 s at 37 MB.  At 2000, triangle --kind W --eval
+# q=19/29,r=-31/17 --format json took 39 s at 37 MB, and the slowest --eval
+# point found, --kind w --eval q=65535/65536,r=-65533/65536, 278 s at 51 MB
+# (README).
 MAX_SYMBOLIC_SIZE = 200
 MAX_EVAL_SIZE = 2000
 
@@ -84,8 +87,11 @@ MAX_VERIFY_SIZE = 48
 # least common denominator D, counted in the largest of |A|, |C| and D.
 # An entry of size n has about n times that many digits (plus n*log10(n)
 # from the factors k*A + C), and a row holds n + 1 of them, so this bounds
-# the memory of the two rows held: about 2000 * 10^4 digits each at
-# MAX_EVAL_SIZE.  Their text is never held whole, only one piece.  The
+# the memory of the two rows that the row step holds: about 2000 * 10^4
+# digits each at MAX_EVAL_SIZE.  The reduced row is dropped before the next
+# is made, and its text is never held whole, only one piece.  The powers
+# D^0..D^n, from which the dens are made, are kept as Decimals, about half
+# a row's digits, and as ints only up to D^J, about one machine word.  The
 # points in use are far below it: 3 digits at n = 300 in the benchmark,
 # and D = 10^200 at n <= 40 in the tests.
 MAX_EVAL_DIGITS = 10_000
@@ -163,17 +169,26 @@ def _poly_str(p: BiPoly, fmt: str) -> str:
     return p.to_json() if fmt == "json" else p.to_latex() if fmt == "latex" else p.to_text()
 
 
+def _json_value(value) -> str:
+    """An int, a string or a dict of them as compact JSON, written without ``json``:
+    the parsers and choices admit no string character that JSON escapes."""
+    if isinstance(value, dict):
+        return "{" + ",".join(f'"{key}":{_json_value(item)}' for key, item in value.items()) + "}"
+    return f'"{value}"' if isinstance(value, str) else str(value)
+
+
 def _json_head(header: dict) -> str:
     """The header as compact JSON, left open after an "entries" key for the caller to fill."""
-    import json
-
-    return json.dumps(header, separators=(",", ":"))[:-1] + ',"entries":'
+    return _json_value(header)[:-1] + ',"entries":'
 
 
 # Most cells in one piece of triangle output.  A piece is joined and written
 # as soon as it is made, so output text is held one piece at a time, never a
-# whole row (a row at MAX_EVAL_SIZE is tens of MB of digits).
-PIECE_CELLS = 64
+# whole row (a row at MAX_EVAL_SIZE is tens of MB of digits).  At 16 cells a
+# piece is small beside the two rows of the step: the traced peak of
+# triangle --kind w --n-max 200 --eval q=19/29,r=-31/17 read 0.41 MB,
+# against 0.55 MB with 64 cells.
+PIECE_CELLS = 16
 
 
 def _eval_pieces(values, fmt: str):
@@ -187,7 +202,8 @@ def _eval_pieces(values, fmt: str):
     one = Decimal(1)  # compares with a Decimal faster than the int 1 does
     as_json = fmt == "json"
     ends: list = []  # column n - k: its last den and the text after the numerator
-    for n, row in enumerate(values):
+    n = 0
+    for row in values:
         pre, sep = (f"{n},", ",") if fmt == "csv" else (f"n={n} k=", ": ")
         first = "],[" if n else "[["
         ends.append((None, ""))
@@ -200,6 +216,10 @@ def _eval_pieces(values, fmt: str):
                 head = f'{"," if k else first}{{"num":{a!s},"den":' if as_json else f"{pre}{k}{sep}{a!s}"
                 parts += (head, end[1])
             yield "".join(parts)
+        # Row n is dropped before row n + 1 is made (enumerate's result
+        # tuple would hold it), so that only the step's two rows are held.
+        del row
+        n += 1
     if as_json:
         yield "]]"
 
@@ -222,8 +242,9 @@ def _poly_pieces(rows, fmt: str):
 
 
 def _write_rows(header: dict, pieces, fmt: str, csv_head: str) -> int:
-    """Write the output of a triangle or an EGF: its head, each text piece as it is made, and
-    its tail.  In json the pieces make the "entries" array of the header, else lines after csv_head."""
+    """Write the output of a triangle, an EGF or a Cauchy polynomial: its head, each text piece
+    as it is made, and its tail.  In json the pieces make the "entries" value of the header, else
+    lines after csv_head."""
     write = sys.stdout.write
     write(_json_head(header) if fmt == "json" else csv_head if fmt == "csv" else "")
     for piece in pieces:
@@ -267,21 +288,15 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
     fmt = args.format
     header: dict[str, object] = {"kind": args.kind, "n": args.n}
     if args.eval is None:
-        poly = cauchy_poly(kind, args.n)
-        out = _poly_str(poly, fmt)
+        out = _poly_str(cauchy_poly(kind, args.n), fmt)  # the polynomial is not held past its text
     else:
         q0, rv = args.eval
         header["eval"] = {"q": str(q0), "r": str(rv)}
         value = cauchy_value(kind, args.n, q0, rv)
         out = f'{{"num":{value.numerator},"den":{value.denominator}}}' if fmt == "json" else str(value)
-
-    if fmt == "json":
-        print(_json_head(header) + out + "}")
-    elif fmt == "csv":
-        print(f"n,value\n{args.n},{out}")
-    else:
-        print(out)
-    return 0
+    # Pieces, not one string: the text can be tens of MB at the size limit.
+    pieces = [out] if fmt == "json" else [f"{args.n},", out, "\n"] if fmt == "csv" else [out, "\n"]
+    return _write_rows(header, pieces, fmt, "n,value\n")
 
 
 def _cmd_egf(args: argparse.Namespace) -> int:

@@ -255,34 +255,41 @@ def decimal_rows(
     so these rows hold u(n, k) mod D^J, and gcd(res, D^j) = gcd(u, D^j)
     for j = min(n - k, J).  Each row is reduced in one loop from that gcd,
     and a column's denominator D^(n-k) / g is reused while g repeats, so
-    a den object may be shared between rows.
+    a den object may be shared between rows.  The Decimal powers
+    D^0..D^n_max, from which the dens are made, are all kept; of the int
+    powers only D^0..D^J are.
     """
     d, a, c = _scaled_point(kind, n_max, q0, r0)
     one = Decimal(1)
     with localcontext(_EXACT):
         dpowers = _powers(one, Decimal(d), n_max)
-    powers = _powers(1, d, n_max)
     big_j = min(max(1, 64 // d.bit_length()), n_max)
+    powers = _powers(1, d, big_j)
     modulus = powers[big_j]
     rows = _rows(kind, n_max, Decimal(a), Decimal(c), one)
     residues = _rows(kind, n_max, a % modulus, c % modulus, 1, modulus)
-    return _reduced_rows(rows, residues, big_j, powers, dpowers)
+    return _reduced_rows(rows, residues, d, powers, dpowers)
 
 
-def _reduced_rows(rows, residues, big_j: int, powers: list[int], dpowers: list) -> Iterator[list]:
+def _reduced_rows(rows, residues, d: int, powers: list[int], dpowers: list) -> Iterator[list]:
     """Each row's entries u / D^m, m = n - k, in lowest terms, in one loop per row.
 
-    Only primes of D can cancel.  For a prime p whose power in D is p^e,
-    g = gcd(res, D^j) with j = min(m, big_j) holds p^min(v, e*j), p^v the
-    power of p in u.  If g divides D^(j-1), each of these is p^v, and g is
-    gcd(u, D^m).  Otherwise j is doubled (capped at m) and g taken again as
-    gcd(u mod D^j, D^j), until g divides D^(j-1) or j = m: no gcd of
-    full-size operands is taken.  A zero entry, which the step can leave as
-    a negative zero, is 0/1.  Column m keeps its last g > 1, as an int and
-    a Decimal, with D^m / g, and reuses them while its g stays the same.
+    ``powers`` holds the ints D^0..D^J, J the width of the residues, and
+    ``dpowers`` the Decimals D^0..D^n_max.  Only primes of D can cancel.
+    For a prime p whose power in D is p^e, g = gcd(res, D^j) with
+    j = min(m, J) holds p^min(v, e*j), p^v the power of p in u.  If g
+    divides D^(j-1), each of these is p^v, and g is gcd(u, D^m).
+    Otherwise j is doubled (capped at m) and g taken again as
+    gcd(u mod D^j, D^j), with D^j computed for that j, until g divides
+    D^(j-1) or j = m: no gcd of full-size operands is taken.  A zero
+    entry, which the step can leave as a negative zero, is 0/1.  Column m
+    keeps its last g > 1, as an int and a Decimal, with D^m / g, and
+    reuses them while its g stays the same.  A row is not held once
+    yielded, so the caller that drops it holds none while the next is made.
     """
-    cols = [(1, None, None)] * len(powers)
-    for n in range(len(powers)):
+    big_j = len(powers) - 1
+    cols = [(1, None, None)] * len(dpowers)
+    for n in range(len(dpowers)):
         with localcontext(_EXACT):
             row = next(rows)  # runs the step, so inside the exact context
             reduced = []
@@ -293,9 +300,10 @@ def _reduced_rows(rows, residues, big_j: int, powers: list[int], dpowers: list) 
                 if not u:
                     add(_DECIMAL_ZERO)
                     continue
-                while j < m and powers[j - 1] % g:
+                while j < m and (powers[j - 1] if j <= big_j else dj // d) % g:
                     j = min(2 * j, m)
-                    g = gcd(int(u % dpowers[j]), powers[j])
+                    dj = d**j
+                    g = gcd(int(u % dpowers[j]), dj)
                 if g == 1:
                     add((u, dpowers[m]))
                     continue
@@ -303,6 +311,7 @@ def _reduced_rows(rows, residues, big_j: int, powers: list[int], dpowers: list) 
                     cols[m] = (g, dg := Decimal(g), dpowers[m] // dg)
                 add((u // cols[m][1], cols[m][2]))
         yield reduced
+        del reduced, add  # so that no row is held while the next is made
 
 
 def _fraction_rows(kind: TriangleKind, n_max: int, q0, r0) -> list[list[Fraction]]:

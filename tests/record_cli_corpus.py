@@ -81,8 +81,9 @@ def corpus_argvs() -> list[tuple[str, ...]]:
     """Every triangle kind x format at n in {0, 1, 2, 12}, symbolic and at each
     evaluation point; w and W at n = 60 at two evaluation points, in every
     format; w and W at n = 130 at one evaluation point and symbolic at n = 70,
-    in every format; cauchy and egf in every format; verify of every suite
-    at n <= 6 with and without shift values; the usage errors."""
+    in every format; w and W at n = 120 at two points where the reduction
+    doubles, in text and json; cauchy and egf in every format; verify of
+    every suite at n <= 6 with and without shift values; the usage errors."""
     argvs: list[tuple[str, ...]] = []
     for kind in ("w", "W", "s", "sr"):
         for r0 in ((), ("--r0", "3")) if kind == "sr" else ((),):
@@ -101,6 +102,13 @@ def corpus_argvs() -> list[tuple[str, ...]]:
         for size, at in (("130", ("--eval", "q=16/23,r=-17/29")), ("70", ())):
             for fmt in FORMATS:
                 argvs.append(("triangle", "--kind", kind, "--n-max", size, *at, "--format", fmt))
+    # Points whose small primes pile up in the entries, so that the doubling
+    # fallback of triangles._reduced_rows runs past the residue width J:
+    # D = 2^16 (J = 3) and D = 36 (J = 10).
+    for kind in ("w", "W"):
+        for point in ("q=65535/65536,r=-65533/65536", "q=5/12,r=-7/18"):
+            for fmt in ("text", "json"):
+                argvs.append(("triangle", "--kind", kind, "--n-max", "120", "--eval", point, "--format", fmt))
     for kind in ("first", "second"):
         for n in ("0", "1", "2", "5", "12"):
             for fmt in FORMATS:

@@ -14,13 +14,14 @@ from pathlib import Path
 import pytest
 
 from qwhitney.cauchy import CauchyKind, cauchy_first, cauchy_second, q_cauchy_number
-from qwhitney.cli import main
+from qwhitney.cli import _eval_pieces, main
 from qwhitney.poly import ONE, BiPoly
 from qwhitney.series import cauchy_first_egf, cauchy_second_egf, whitney_column_egf
 from qwhitney.triangles import (
     Triangle,
     TriangleKind,
     decimal_rows,
+    scaled_rows,
     triangle_rows,
     whitney_first,
     whitney_first_values,
@@ -378,7 +379,8 @@ class TestLargeAndInterruptedOutput:
     # An --eval row is written in pieces of cli.PIECE_CELLS cells, so the
     # command holds its rows of Decimals and one piece of text.  A row's
     # text is about twice its Decimals: written whole, the command's peak
-    # read 2.2-2.3x that of the rows alone, and in pieces 1.6-1.7x.
+    # read 2.2-2.3x that of the rows alone, in pieces of 64 cells 1.6-1.7x,
+    # and in pieces of 16 cells with no row held across the step 1.3x.
     @pytest.mark.parametrize(
         "kind, fmt",
         [
@@ -395,6 +397,33 @@ class TestLargeAndInterruptedOutput:
             command = _traced_peak(lambda: main([*argv, "200"]))
         rows = _traced_peak(lambda: deque(decimal_rows(kind, 200, *point), maxlen=1))
         assert command < 1.9 * rows
+
+    # No reduced row is held while the next is made, by decimal_rows or by
+    # the --eval writer: against the two integer rows of the row step, the
+    # peaks read, at q = 1/3, r = 2/7 (D = 21, where many entries reduce)
+    # and n = 200, 2.80-2.96x for the rows alone and 1.30-1.31x more with
+    # the writer.  Holding the previous row read 3.42-3.55x in
+    # decimal_rows, and 1.45-1.49x in the writer.
+    @pytest.mark.parametrize(
+        "kind, fmt",
+        [
+            (TriangleKind.WHITNEY_FIRST, "text"),
+            (TriangleKind.WHITNEY_SECOND, "json"),
+            (TriangleKind.WHITNEY_SECOND, "csv"),
+        ],
+    )
+    def test_eval_rows_are_not_held_while_the_next_is_made(self, kind, fmt):
+        point = (F(1, 3), F(2, 7))
+
+        def dropped():
+            for row in decimal_rows(kind, 200, *point):
+                del row
+
+        step = _traced_peak(lambda: deque(scaled_rows(kind, 200, *point)[1], maxlen=1))
+        rows = _traced_peak(dropped)
+        written = _traced_peak(lambda: deque(_eval_pieces(decimal_rows(kind, 200, *point), fmt), maxlen=0))
+        assert rows < 3.2 * step
+        assert written < 1.38 * rows
 
     def test_interrupt_exits_130(self, capsys, monkeypatch):
         import qwhitney.suites as suites_mod
@@ -489,6 +518,9 @@ class TestImportsPerCommand:
             (("triangle", "--kind", "w", "--n-max", "3"), ("qwhitney.cauchy", "qwhitney.suites", "json")),
             (("verify", "--suite", "shift", "--n-max", "2"), ("json",)),
             (("egf", "--which", "c", "--order", "3"), ("qwhitney.suites", "json")),
+            (("triangle", "--kind", "W", "--n-max", "3", "--eval", "q=1/3,r=2/7", "--format", "json"), ("json",)),
+            (("egf", "--which", "chat", "--order", "3", "--format", "json"), ("json",)),
+            (("cauchy", "--kind", "first", "--n", "3", "--format", "json"), ("json",)),
         ],
     )
     def test_modules_left_unimported(self, argv, absent):
@@ -508,6 +540,37 @@ class TestImportsPerCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "[]\n"
+
+    # The json head is written without json: each header shape the command
+    # line writes, against json.dumps of the same header.
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (("triangle", "--kind", "w", "--n-max", "2"), {"kind": "w", "n_max": 2}),
+            (("triangle", "--kind", "sr", "--n-max", "2", "--r0", "13"), {"kind": "sr", "n_max": 2, "r0": 13}),
+            (
+                ("triangle", "--kind", "sr", "--n-max", "2", "--r0", "3", "--eval", "q=-6/4,r= 2"),
+                {"kind": "sr", "n_max": 2, "r0": 3, "eval": {"q": "-3/2", "r": "2"}},
+            ),
+            (
+                ("triangle", "--kind", "W", "--n-max", "2", "--eval", "q=19/29,r=-31/17"),
+                {"kind": "W", "n_max": 2, "eval": {"q": "19/29", "r": "-31/17"}},
+            ),
+            (("cauchy", "--kind", "second", "--n", "10"), {"kind": "second", "n": 10}),
+            (
+                ("cauchy", "--kind", "first", "--n", "3", "--eval", "r=0,q=+1/1"),
+                {"kind": "first", "n": 3, "eval": {"q": "1", "r": "0"}},
+            ),
+            (("egf", "--which", "w:007", "--order", "12"), {"kind": "w:7", "order": 12}),
+            (("egf", "--which", "chat", "--order", "0"), {"kind": "chat", "order": 0}),
+        ],
+    )
+    def test_json_head_is_that_of_json_dumps(self, capsys, argv, header):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        head = json.dumps(header, separators=(",", ":"))[:-1] + ',"entries":'
+        assert out[: len(head)] == head
+        assert json.loads(out).keys() == {*header, "entries"}
 
     def test_choices_are_the_kinds_and_suite_names(self):
         from qwhitney.cli import SUITE_NAMES, TRIANGLE_KINDS
