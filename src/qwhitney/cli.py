@@ -20,6 +20,15 @@ or of --r0 by MAX_EVAL_DIGITS, and times those of verify's --shift-values,
 summed over the values, by MAX_VERIFY_DIGITS.  A larger one is a usage
 error, reported before any work starts.
 
+The subcommands and their options are described once, in ``_commands``,
+and an argv is read from that table in one of two ways.  A plainly
+well-formed argv (the subcommand first, then each option spelled in full
+and given once, with a value that its type and choices accept) is read by
+``_parse_plain``.  Any other argv, help included, is read by the argparse
+parser of ``build_parser``, which writes every help, usage and error text.
+Both give the same options, so a job that prints no help and no error never
+loads argparse.
+
 ``run`` is the process entry point of ``python -m qwhitney`` and of the
 ``qwhitney`` script: it calls ``main`` on ``sys.argv``, freezes the heap
 with ``gc.freeze()`` and exits with main's code.  The interpreter's
@@ -30,7 +39,6 @@ call ``main``, which leaves the heap as it is.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
@@ -38,6 +46,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import factorial
+from types import SimpleNamespace
 
 from .poly import ZERO, BiPoly, common_denominator
 
@@ -107,6 +116,17 @@ class UsageError(Exception):
     """Semantic command-line error; maps to exit code 2."""
 
 
+def _bad_value(message: str) -> Exception:
+    """The error of an option value that its type rejects, for argparse to report.
+
+    Only an argv that argparse then reads gets here, so argparse is imported
+    here and in ``build_parser``, and a well-formed job loads it nowhere.
+    """
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 # "a" or "a/b" only: Fraction alone would also read decimals and exponents,
 # and expand a literal such as 1e1000000000 into a huge integer.
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
@@ -118,7 +138,7 @@ def _parse_rational(text: str) -> Fraction:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass  # a zero denominator, or more digits than int() converts
-    raise argparse.ArgumentTypeError(f"invalid rational {text!r}")
+    raise _bad_value(f"invalid rational {text!r}")
 
 
 def _parse_eval(text: str) -> tuple[Fraction, Fraction]:
@@ -128,17 +148,17 @@ def _parse_eval(text: str) -> tuple[Fraction, Fraction]:
         key, sep, raw = part.partition("=")
         key = key.strip()
         if not sep or key in values or key not in ("q", "r"):
-            raise argparse.ArgumentTypeError(f"expected q=RAT,r=RAT, got {text!r}")
+            raise _bad_value(f"expected q=RAT,r=RAT, got {text!r}")
         values[key] = _parse_rational(raw)
     if set(values) != {"q", "r"}:
-        raise argparse.ArgumentTypeError(f"expected q=RAT,r=RAT, got {text!r}")
+        raise _bad_value(f"expected q=RAT,r=RAT, got {text!r}")
     return values["q"], values["r"]
 
 
 def _parse_shifts(text: str) -> tuple[Fraction, ...]:
     items = text.split(",")
     if any(not item.strip() for item in items):
-        raise argparse.ArgumentTypeError(f"expected RAT,RAT,..., got {text!r}")
+        raise _bad_value(f"expected RAT,RAT,..., got {text!r}")
     return tuple(_parse_rational(item) for item in items)
 
 
@@ -153,7 +173,7 @@ def _parse_nonneg(text: str) -> int:
             return int(text)
         except ValueError:
             pass  # more digits than int() converts
-    raise argparse.ArgumentTypeError(f"invalid nonnegative integer {text!r}")
+    raise _bad_value(f"invalid nonnegative integer {text!r}")
 
 
 def _parse_which(text: str) -> str:
@@ -162,7 +182,7 @@ def _parse_which(text: str) -> str:
         return text
     if text.startswith("w:"):
         return f"w:{_parse_nonneg(text[2:])}"
-    raise argparse.ArgumentTypeError(f"expected c, chat, or w:K, got {text!r}")
+    raise _bad_value(f"expected c, chat, or w:K, got {text!r}")
 
 
 def _poly_str(p: BiPoly, fmt: str) -> str:
@@ -254,7 +274,7 @@ def _write_rows(header: dict, pieces, fmt: str, csv_head: str) -> int:
     return 0
 
 
-def _cmd_triangle(args: argparse.Namespace) -> int:
+def _cmd_triangle(args: SimpleNamespace) -> int:
     from .triangles import TriangleKind, decimal_rows, triangle_rows
 
     kind = args.kind
@@ -281,7 +301,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
     return _write_rows(header, pieces, fmt, "n,k,value\n")
 
 
-def _cmd_cauchy(args: argparse.Namespace) -> int:
+def _cmd_cauchy(args: SimpleNamespace) -> int:
     from .cauchy import CauchyKind, cauchy_poly, cauchy_value
 
     kind = CauchyKind(args.kind)
@@ -299,7 +319,7 @@ def _cmd_cauchy(args: argparse.Namespace) -> int:
     return _write_rows(header, pieces, fmt, "n,value\n")
 
 
-def _cmd_egf(args: argparse.Namespace) -> int:
+def _cmd_egf(args: SimpleNamespace) -> int:
     """[t^n] of the EGF for n = 0..order: c_n/n!, chat_n/n! or w(n, K)/n!, from the first-kind rows."""
     from .cauchy import CauchyKind, cauchy_of_row
     from .triangles import TriangleKind, triangle_rows
@@ -328,7 +348,7 @@ def _cmd_egf(args: argparse.Namespace) -> int:
     return _write_rows({"kind": which, "order": order}, pieces, fmt, "n,value\n")
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .suites import run_suite
 
     results = run_suite(args.suite, args.n_max, args.shift_values)
@@ -347,45 +367,129 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The options that every namespace has: commands without --eval, --r0 or
+# --shift-values read None.
+_SHARED_DEFAULTS = {"eval": None, "r0": None, "shift_values": None}
+
+
+def _commands() -> dict:
+    """Each subcommand: its help, its options with the keyword arguments of
+    ``add_argument``, the function that runs it, and its limits.
+
+    Both ``build_parser`` and ``_parse_plain`` read this one table.  The
+    limits are checked in main: the size option, that option's limit
+    (MAX_EVAL_SIZE with --eval) and that of the size times the digits of the
+    command's rationals.  The table is made on each call, so that it names
+    the command functions that the module holds at that time.
+    """
+    return {
+        "triangle": (
+            "generate a triangle of connection coefficients",
+            {
+                "--kind": {"required": True, "choices": TRIANGLE_KINDS},
+                "--n-max": {"required": True, "type": _parse_nonneg},
+                "--r0": {"type": _parse_nonneg, "default": None, "help": "shift for --kind sr (default 0)"},
+                "--eval": {"type": _parse_eval, "default": None, "metavar": "q=RAT,r=RAT"},
+                "--format": {"choices": FORMATS, "default": "text"},
+            },
+            _cmd_triangle,
+            ("--n-max", MAX_SYMBOLIC_SIZE, MAX_EVAL_DIGITS),
+        ),
+        "cauchy": (
+            "print one Cauchy polynomial with a q parameter",
+            {
+                "--kind": {"required": True, "choices": ("first", "second")},
+                "--n": {"required": True, "type": _parse_nonneg},
+                "--eval": {"type": _parse_eval, "default": None, "metavar": "q=RAT,r=RAT"},
+                "--format": {"choices": FORMATS, "default": "text"},
+            },
+            _cmd_cauchy,
+            ("--n", MAX_SYMBOLIC_SIZE, MAX_EVAL_DIGITS),
+        ),
+        "egf": (
+            "expand an exponential generating function",
+            {
+                "--which": {"required": True, "type": _parse_which, "metavar": "{c|chat|w:K}"},
+                "--order": {"required": True, "type": _parse_nonneg},
+                "--format": {"choices": FORMATS, "default": "text"},
+            },
+            _cmd_egf,
+            ("--order", MAX_SYMBOLIC_SIZE, MAX_EVAL_DIGITS),
+        ),
+        "verify": (
+            "run a named verification suite",
+            {
+                "--suite": {"required": True, "choices": SUITE_NAMES},
+                "--n-max": {"required": True, "type": _parse_nonneg},
+                "--shift-values": {"type": _parse_shifts, "default": None, "metavar": "RAT,RAT,..."},
+            },
+            _cmd_verify,
+            ("--n-max", MAX_VERIFY_SIZE, MAX_VERIFY_DIGITS),
+        ),
+    }
+
+
+def build_parser():
+    """The argparse parser of the command table; it writes every help, usage and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qwhitney",
         description="Exact triangles and Cauchy polynomials with a q parameter.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each command's limits, checked in main: its size option, that option's
-    # limit (MAX_EVAL_SIZE with --eval) and that of the size times the digits
-    # of its rationals.  Commands without --eval, --r0 or --shift-values read None.
-    parser.set_defaults(eval=None, r0=None, shift_values=None)
-
-    p_tri = sub.add_parser("triangle", help="generate a triangle of connection coefficients")
-    p_tri.add_argument("--kind", required=True, choices=TRIANGLE_KINDS)
-    p_tri.add_argument("--n-max", required=True, type=_parse_nonneg)
-    p_tri.add_argument("--r0", type=_parse_nonneg, default=None, help="shift for --kind sr (default 0)")
-    p_tri.add_argument("--eval", type=_parse_eval, default=None, metavar="q=RAT,r=RAT")
-    p_tri.add_argument("--format", choices=FORMATS, default="text")
-    p_tri.set_defaults(run=_cmd_triangle, limits=("--n-max", MAX_SYMBOLIC_SIZE, MAX_EVAL_DIGITS))
-
-    p_cau = sub.add_parser("cauchy", help="print one Cauchy polynomial with a q parameter")
-    p_cau.add_argument("--kind", required=True, choices=("first", "second"))
-    p_cau.add_argument("--n", required=True, type=_parse_nonneg)
-    p_cau.add_argument("--eval", type=_parse_eval, default=None, metavar="q=RAT,r=RAT")
-    p_cau.add_argument("--format", choices=FORMATS, default="text")
-    p_cau.set_defaults(run=_cmd_cauchy, limits=("--n", MAX_SYMBOLIC_SIZE, MAX_EVAL_DIGITS))
-
-    p_egf = sub.add_parser("egf", help="expand an exponential generating function")
-    p_egf.add_argument("--which", required=True, type=_parse_which, metavar="{c|chat|w:K}")
-    p_egf.add_argument("--order", required=True, type=_parse_nonneg)
-    p_egf.add_argument("--format", choices=FORMATS, default="text")
-    p_egf.set_defaults(run=_cmd_egf, limits=("--order", MAX_SYMBOLIC_SIZE, MAX_EVAL_DIGITS))
-
-    p_ver = sub.add_parser("verify", help="run a named verification suite")
-    p_ver.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p_ver.add_argument("--n-max", required=True, type=_parse_nonneg)
-    p_ver.add_argument("--shift-values", type=_parse_shifts, default=None, metavar="RAT,RAT,...")
-    p_ver.set_defaults(run=_cmd_verify, limits=("--n-max", MAX_VERIFY_SIZE, MAX_VERIFY_DIGITS))
-
+    parser.set_defaults(**_SHARED_DEFAULTS)
+    for name, (help_text, options, run_command, limits) in _commands().items():
+        command = sub.add_parser(name, help=help_text)
+        for option, kwargs in options.items():
+            command.add_argument(option, **kwargs)
+        command.set_defaults(run=run_command, limits=limits)
     return parser
+
+
+def _dest(option: str) -> str:
+    """The namespace attribute of an option, as argparse names it: --n-max is n_max."""
+    return option[2:].replace("-", "_")
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The options of a plainly well-formed argv, as argparse reads them; None for any other.
+
+    Plainly well formed: the subcommand first, then each of its options
+    spelled in full and given at most once, as "--opt=value" or as
+    "--opt value" with a value that does not start with "-"; each value
+    passes the option's type and choices, and every required option is
+    there.  Anything else, help included, is left to argparse.
+    """
+    commands = _commands()
+    if not argv or argv[0] not in commands:
+        return None
+    _, options, run_command, limits = commands[argv[0]]
+    values = {"command": argv[0], **_SHARED_DEFAULTS, "run": run_command, "limits": limits}
+    values.update((_dest(option), kwargs.get("default")) for option, kwargs in options.items())
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, joined, value = token.partition("=")
+        kwargs = options.get(option)
+        if kwargs is None or option in given:
+            return None
+        if not joined:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        given.add(option)
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except Exception:  # argparse calls the type again, and reports or raises what it raised
+                return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        values[_dest(option)] = value
+    if any(kwargs.get("required") and option not in given for option, kwargs in options.items()):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _join_shift_values(argv: list[str]) -> list[str]:
@@ -407,12 +511,13 @@ def _join_shift_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = parser.parse_args(_join_shift_values(argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = _join_shift_values(sys.argv[1:] if argv is None else list(argv))
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv, SimpleNamespace())
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     # Exact results can have any number of digits.  The interpreter's cap on
     # integer-string conversion (Python 3.11 and later) stays in force for
     # parsing, so that huge input literals are still rejected there.
@@ -422,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
         set_digits(0)
     try:
         option, limit, digit_limit = args.limits
-        size = getattr(args, option[2:].replace("-", "_"))
+        size = getattr(args, _dest(option))
         limit = MAX_EVAL_SIZE if args.eval else limit
         if size > limit:
             raise UsageError(f"{option} {size} is above the limit {limit}")
@@ -465,7 +570,7 @@ def run() -> None:
     """Run ``main`` on ``sys.argv`` and exit the process with its code.
 
     The heap is frozen first, so the interpreter's collections at shutdown
-    skip the objects that site and the package loaded (about 12.9k): they
+    skip the objects that site and the package loaded (about 12.3k): they
     took 4-8 ms of a 50-75 ms job, to free memory the process was about to
     give back.  ``sys.exit``, not ``os._exit``, so that the standard streams
     are flushed and ``atexit`` handlers run.

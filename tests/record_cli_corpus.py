@@ -74,6 +74,24 @@ _USAGE = (
     ("verify", "--suite", "shift", "--n-max", "201"),
     ("verify", "--suite", "shift", "--n-max", "2", "--shift-values", "1,,2"),
     ("verify", "--suite", "shift", "--n-max", "1", "--shift-values=1.5"),
+    # The edges of the command-line parser: abbreviated and repeated
+    # options, values joined with "=" and options in any order, stray
+    # tokens and an empty value, and help after a subcommand.
+    ("triangle", "--kind", "w", "--n-m", "2"),
+    ("verify", "--suite", "shift", "--n-max", "2", "--shift", "-1/2"),
+    ("triangle", "--kind", "w", "--kind", "W", "--n-max", "2"),
+    ("triangle", "--kind", "w", "--n-max", "2", "--n-max", "3"),
+    ("triangle", "--n-max=2", "--format=json", "--kind=W"),
+    ("triangle", "--kind", "sr", "--r0=3", "--n-max", "2", "--eval", "q=1/3,r=-2/7"),
+    ("cauchy", "--kind", "first", "--n", "2", "--eval=q=1/3,r=-2/7"),
+    ("verify", "--suite", "shift", "--n-max", "2", "--shift-values=-1/2,3"),
+    ("verify", "--n-max", "1", "--suite", "inversion"),
+    ("egf", "--order", "2", "--which=w:1"),
+    ("egf", "--which", "c", "--order", "2", "extra"),
+    ("triangle", "--kind", "w", "--", "--n-max", "2"),
+    ("cauchy", "--kind", "first", "--n", "2", "--format", ""),
+    ("triangle", "-h"),
+    ("verify", "--suite", "all", "--n-max", "1", "--help"),
 )
 
 

@@ -515,12 +515,27 @@ class TestImportsPerCommand:
     @pytest.mark.parametrize(
         "argv, absent",
         [
-            (("triangle", "--kind", "w", "--n-max", "3"), ("qwhitney.cauchy", "qwhitney.suites", "json")),
-            (("verify", "--suite", "shift", "--n-max", "2"), ("json",)),
-            (("egf", "--which", "c", "--order", "3"), ("qwhitney.suites", "json")),
-            (("triangle", "--kind", "W", "--n-max", "3", "--eval", "q=1/3,r=2/7", "--format", "json"), ("json",)),
-            (("egf", "--which", "chat", "--order", "3", "--format", "json"), ("json",)),
-            (("cauchy", "--kind", "first", "--n", "3", "--format", "json"), ("json",)),
+            (
+                ("triangle", "--kind", "w", "--n-max", "3"),
+                ("qwhitney.cauchy", "qwhitney.suites", "json", "argparse", "gettext", "locale"),
+            ),
+            (("verify", "--suite", "shift", "--n-max", "2"), ("json", "argparse", "gettext", "locale")),
+            (
+                ("egf", "--which", "c", "--order", "3"),
+                ("qwhitney.suites", "json", "argparse", "gettext", "locale"),
+            ),
+            (
+                ("triangle", "--kind", "W", "--n-max", "3", "--eval", "q=1/3,r=2/7", "--format", "json"),
+                ("json", "argparse", "gettext", "locale"),
+            ),
+            (
+                ("egf", "--which", "chat", "--order", "3", "--format", "json"),
+                ("json", "argparse", "gettext", "locale"),
+            ),
+            (
+                ("cauchy", "--kind", "first", "--n", "3", "--format", "json"),
+                ("json", "argparse", "gettext", "locale"),
+            ),
         ],
     )
     def test_modules_left_unimported(self, argv, absent):

@@ -26,6 +26,7 @@ from qwhitney.cli import (
     main,
 )
 from qwhitney.suites import DEFAULT_SHIFTS
+from record_cli_corpus import corpus_argvs
 
 SIZES = ("0", "1", "2", "3")
 FORMATS = ("text", "json", "csv", "latex")
@@ -86,6 +87,26 @@ def test_any_argv_ends_in_a_documented_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2), argv
+
+
+def _with_corpus_examples(test):
+    """The test, run on every argv of the byte-identity corpus before the drawn ones."""
+    for argv in corpus_argvs():
+        test = example(list(argv))(test)
+    return test
+
+
+# main reads a plainly well-formed argv with its own small parser, and any
+# other with argparse; where the small one reads an argv, it must read it as
+# argparse does.
+@settings(deadline=None, max_examples=200)
+@given(argvs)
+@_with_corpus_examples
+def test_the_plain_parser_reads_what_argparse_reads(argv):
+    argv = cli._join_shift_values(argv)
+    args = cli._parse_plain(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
 
 
 # Each command's size option, with the limit it has in that mode.
