@@ -29,6 +29,9 @@ parser of ``build_parser``, which writes every help, usage and error text.
 Both give the same options, so a job that prints no help and no error never
 loads argparse.
 
+Every result is written by ``_write_rows``, the one function that knows the
+output layout; a command hands it rows of cell texts.
+
 ``run`` is the process entry point of ``python -m qwhitney`` and of the
 ``qwhitney`` script: it calls ``main`` on ``sys.argv``, freezes the heap
 with ``gc.freeze()`` and exits with main's code.  The interpreter's
@@ -44,7 +47,6 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
 from math import factorial
 from types import SimpleNamespace
 
@@ -74,22 +76,17 @@ _EXIT_BROKEN_PIPE = 141
 _EXIT_INTERRUPTED = 130
 
 
-# Largest size a command accepts.  A symbolic result of size n is printed as
-# about n^3/6 coefficients, but only about two triangle rows are held, as
-# with --eval, a triangle's text is written PIECE_CELLS cells at a time, and
-# a Cauchy polynomial's text is written without a copy joined to its head;
-# the slowest accepted symbolic input, egf --which chat --order 200
-# --format json, took 22 s at a peak RSS of 80 MB, and cauchy --kind first
-# --n 200 --format json 0.9 s at 37 MB.  At 2000, triangle --kind W --eval
-# q=19/29,r=-31/17 --format json took 39 s at 37 MB, and the slowest --eval
-# point found, --kind w --eval q=65535/65536,r=-65533/65536, 278 s at 51 MB
-# (README).
+# Largest size a command accepts, so that a mistyped size cannot run for
+# hours.  A symbolic result of size n is printed as about n^3/6
+# coefficients, made from about two triangle rows held at a time, and an
+# --eval row of size n has n + 1 entries of about n times the digits of the
+# point (MAX_EVAL_DIGITS).  The README gives the time and peak RSS of the
+# slowest accepted inputs.
 MAX_SYMBOLIC_SIZE = 200
 MAX_EVAL_SIZE = 2000
 
-# Largest --n-max of verify: the symbolic suites grow like n^4, and verify
-# --suite all ends in about 4 s at n = 32, 9 s at n = 40 and 19 s at n = 48
-# (README).
+# Largest --n-max of verify: the symbolic suites grow like n^4, and the
+# README gives the time of verify --suite all at this size.
 MAX_VERIFY_SIZE = 48
 
 # Largest size times digits of an --eval point q = A/D, r = C/D over the
@@ -106,9 +103,9 @@ MAX_VERIFY_SIZE = 48
 MAX_EVAL_DIGITS = 10_000
 
 # Largest --n-max of verify times the digits of its --shift-values, summed
-# over the values, each one more pass over the shift laws.  The slowest
-# input it accepts, 25 one-digit fractions at n = 48, took 41 s against
-# 17 s for the default shifts (README).
+# over the values, each one more pass over the shift laws; it admits the
+# default shifts at MAX_VERIFY_SIZE.  The README gives the time of the
+# slowest accepted input.
 MAX_VERIFY_DIGITS = 1200
 
 
@@ -197,81 +194,85 @@ def _json_value(value) -> str:
     return f'"{value}"' if isinstance(value, str) else str(value)
 
 
-def _json_head(header: dict) -> str:
-    """The header as compact JSON, left open after an "entries" key for the caller to fill."""
-    return _json_value(header)[:-1] + ',"entries":'
-
-
-# Most cells in one piece of triangle output.  A piece is joined and written
-# as soon as it is made, so output text is held one piece at a time, never a
-# whole row (a row at MAX_EVAL_SIZE is tens of MB of digits).  At 16 cells a
-# piece is small beside the two rows of the step: the traced peak of
-# triangle --kind w --n-max 200 --eval q=19/29,r=-31/17 read 0.41 MB,
-# against 0.55 MB with 64 cells.
+# Most cells of one row in one piece of output.  A piece is joined and
+# written as soon as it is made, so output text is held one piece at a time,
+# never a whole row (a row at MAX_EVAL_SIZE is tens of MB of digits), and at
+# 16 cells a piece is small beside the two rows of the row step (README).
 PIECE_CELLS = 16
 
 
-def _eval_pieces(values, fmt: str):
-    """The text of rows of Decimal (num, den) pairs in the text, csv or json layout,
-    in pieces of at most PIECE_CELLS cells; in json the whole "entries" array.
+def _write_rows(header: dict, rows, fmt: str, shape: str) -> int:
+    """Write a result, its header and rows (n, iterator of cell texts), in the layout of fmt.
+
+    ``shape`` is "triangle" (cells k = 0..n of each row, labelled "n=N k=K: "
+    or "N,K,"), "series" (one cell per row, labelled "t^N: " or "N,") or
+    "value" (one cell, labelled "N," in csv); in json they are the header's
+    "entries", [[...],...], [...] or the cell alone.  A row is written
+    PIECE_CELLS cells at a time, and a lone cell, which can be megabytes of
+    text, without a copy.
+    """
+    write = sys.stdout.write
+    as_json = fmt == "json"
+    numbered = shape == "triangle" and not as_json
+    if as_json:
+        write(_json_value(header)[:-1] + ',"entries":')
+        first, later, tail = {"triangle": ("[[", "],[", "]]"), "series": ("[", ",", "]")}.get(shape, ("", "", ""))
+    else:
+        write(("n,k,value\n" if shape == "triangle" else "n,value\n") if fmt == "csv" else "")
+        tail = ""
+    end = "" if as_json else "\n"
+    for n, cells in rows:
+        # A row's label parts are made once, so a cell's label is one f-string.
+        if as_json:
+            lead = later if n else first
+        elif numbered:
+            pre, sep = (f"{n},", ",") if fmt == "csv" else (f"n={n} k=", ": ")
+        else:
+            lead = f"{n}," if fmt == "csv" else f"t^{n}: " if shape == "series" else ""
+        parts: list[str] = []
+        for k, cell in enumerate(cells):
+            parts += (f"{pre}{k}{sep}" if numbered else "," if k else lead, cell, end)
+            if len(parts) == 3 * PIECE_CELLS:
+                write("".join(parts))
+                parts = []
+        if len(parts) > 3:
+            parts = ["".join(parts)]
+        for part in parts:
+            write(part)
+        # No text of this row is held while the next row is made.
+        cells = cell = parts = part = None
+    write(tail + "}\n" if as_json else "")
+    return 0
+
+
+def _eval_cells(values, fmt: str):
+    """Rows (n, cell texts) of rows of (num, den) pairs: "num/den", or "num" at
+    den 1, and {"num":num,"den":den} in json.
 
     A den object that ``decimal_rows`` shares down a column n - k is printed
     once: each column keeps its last den with the text after the numerator,
-    and a piece is joined from these parts, not copied into each cell.
+    and only a cell's own text is made from it.  A row's cells are read
+    before the next row is asked for, as ``_write_rows`` reads them, and row
+    n is dropped before row n + 1 is made (enumerate's result tuple would
+    hold it), so that only the step's two rows are held.
     """
     one = Decimal(1)  # compares with a Decimal faster than the int 1 does
     as_json = fmt == "json"
     ends: list = []  # column n - k: its last den and the text after the numerator
+
+    def cells(row):
+        for k, (a, b) in enumerate(row):
+            end = ends[-1 - k]
+            if end[0] is not b:
+                end = ends[-1 - k] = (b, f',"den":{b}}}' if as_json else f"/{b}" if b != one else "")
+            yield f'{{"num":{a!s}{end[1]}' if as_json else f"{a!s}{end[1]}"
+
     n = 0
     for row in values:
-        pre, sep = (f"{n},", ",") if fmt == "csv" else (f"n={n} k=", ": ")
-        first = "],[" if n else "[["
         ends.append((None, ""))
-        for k0 in range(0, n + 1, PIECE_CELLS):
-            parts = []
-            for k, (a, b) in enumerate(row[k0 : k0 + PIECE_CELLS], k0):
-                end = ends[n - k]
-                if end[0] is not b:
-                    end = ends[n - k] = (b, f"{b}}}" if as_json else f"/{b}\n" if b != one else "\n")
-                head = f'{"," if k else first}{{"num":{a!s},"den":' if as_json else f"{pre}{k}{sep}{a!s}"
-                parts += (head, end[1])
-            yield "".join(parts)
-        # Row n is dropped before row n + 1 is made (enumerate's result
-        # tuple would hold it), so that only the step's two rows are held.
+        yield n, cells(row)
         del row
         n += 1
-    if as_json:
-        yield "]]"
-
-
-def _poly_pieces(rows, fmt: str):
-    """The text of rows of BiPoly entries, in pieces of at most PIECE_CELLS cells;
-    in json the whole "entries" array."""
-    cell = {"json": "{3}{2}", "csv": "{0},{1},{2}\n"}.get(fmt, "n={0} k={1}: {2}\n")
-    for n, row in enumerate(rows):
-        first = "],[" if n else "[["
-        for k0 in range(0, n + 1, PIECE_CELLS):
-            yield "".join(
-                [
-                    cell.format(n, k, _poly_str(p, fmt), "," if k else first)
-                    for k, p in enumerate(row[k0 : k0 + PIECE_CELLS], k0)
-                ]
-            )
-    if fmt == "json":
-        yield "]]"
-
-
-def _write_rows(header: dict, pieces, fmt: str, csv_head: str) -> int:
-    """Write the output of a triangle, an EGF or a Cauchy polynomial: its head, each text piece
-    as it is made, and its tail.  In json the pieces make the "entries" value of the header, else
-    lines after csv_head."""
-    write = sys.stdout.write
-    write(_json_head(header) if fmt == "json" else csv_head if fmt == "csv" else "")
-    for piece in pieces:
-        write(piece)
-    if fmt == "json":
-        write("}\n")
-    return 0
 
 
 def _cmd_triangle(args: SimpleNamespace) -> int:
@@ -295,10 +296,13 @@ def _cmd_triangle(args: SimpleNamespace) -> int:
         point = (q0, rv) if kind in ("w", "W") else (1, r0)
         base = TriangleKind.WHITNEY_SECOND if kind == "W" else TriangleKind.WHITNEY_FIRST
         # str() of a Decimal prints its digits in linear time.
-        pieces = _eval_pieces(decimal_rows(base, n_max, *point), fmt)
+        rows = _eval_cells(decimal_rows(base, n_max, *point), fmt)
     else:
-        pieces = _poly_pieces(triangle_rows(TriangleKind(kind), n_max, args.r0), fmt)
-    return _write_rows(header, pieces, fmt, "n,k,value\n")
+        rows = (
+            (n, (_poly_str(p, fmt) for p in row))
+            for n, row in enumerate(triangle_rows(TriangleKind(kind), n_max, args.r0))
+        )
+    return _write_rows(header, rows, fmt, "triangle")
 
 
 def _cmd_cauchy(args: SimpleNamespace) -> int:
@@ -308,15 +312,14 @@ def _cmd_cauchy(args: SimpleNamespace) -> int:
     fmt = args.format
     header: dict[str, object] = {"kind": args.kind, "n": args.n}
     if args.eval is None:
-        out = _poly_str(cauchy_poly(kind, args.n), fmt)  # the polynomial is not held past its text
+        # The polynomial is not held past its text.
+        rows = [(args.n, [_poly_str(cauchy_poly(kind, args.n), fmt)])]
     else:
         q0, rv = args.eval
         header["eval"] = {"q": str(q0), "r": str(rv)}
         value = cauchy_value(kind, args.n, q0, rv)
-        out = f'{{"num":{value.numerator},"den":{value.denominator}}}' if fmt == "json" else str(value)
-    # Pieces, not one string: the text can be tens of MB at the size limit.
-    pieces = [out] if fmt == "json" else [f"{args.n},", out, "\n"] if fmt == "csv" else [out, "\n"]
-    return _write_rows(header, pieces, fmt, "n,value\n")
+        rows = [(args.n, cells) for _, cells in _eval_cells([[(value.numerator, value.denominator)]], fmt)]
+    return _write_rows(header, rows, fmt, "value")
 
 
 def _cmd_egf(args: SimpleNamespace) -> int:
@@ -337,15 +340,8 @@ def _cmd_egf(args: SimpleNamespace) -> int:
         terms = (row[k] if k <= n else ZERO for n, row in enumerate(rows))
     else:  # column k starts at row k
         terms = [ZERO] * (order + 1)
-    # One cell per piece: a cell can be megabytes of text at the size limit.
-    cell = {"json": "{2}{1}", "csv": "{0},{1}\n"}.get(fmt, "t^{0}: {1}\n")
-    pieces = (
-        cell.format(n, _poly_str(p.scale(Fraction(1, factorial(n))), fmt), "," if n else "[")
-        for n, p in enumerate(terms)
-    )
-    if fmt == "json":
-        pieces = chain(pieces, ["]"])
-    return _write_rows({"kind": which, "order": order}, pieces, fmt, "n,value\n")
+    series = ((n, [_poly_str(p.scale(Fraction(1, factorial(n))), fmt)]) for n, p in enumerate(terms))
+    return _write_rows({"kind": which, "order": order}, series, fmt, "series")
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
@@ -570,10 +566,10 @@ def run() -> None:
     """Run ``main`` on ``sys.argv`` and exit the process with its code.
 
     The heap is frozen first, so the interpreter's collections at shutdown
-    skip the objects that site and the package loaded (about 12.3k): they
-    took 4-8 ms of a 50-75 ms job, to free memory the process was about to
-    give back.  ``sys.exit``, not ``os._exit``, so that the standard streams
-    are flushed and ``atexit`` handlers run.
+    skip the objects that site and the package loaded, which would free
+    memory the process is about to give back (README).  ``sys.exit``, not
+    ``os._exit``, so that the standard streams are flushed and ``atexit``
+    handlers run.
     """
     import gc
 

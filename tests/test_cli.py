@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from qwhitney.cauchy import CauchyKind, cauchy_first, cauchy_second, q_cauchy_number
-from qwhitney.cli import _eval_pieces, main
+from qwhitney.cli import _eval_cells, main
 from qwhitney.poly import ONE, BiPoly
 from qwhitney.series import cauchy_first_egf, cauchy_second_egf, whitney_column_egf
 from qwhitney.triangles import (
@@ -376,6 +376,21 @@ class TestLargeAndInterruptedOutput:
         rows = _traced_peak(lambda: deque(triangle_rows(kind, 60), maxlen=1))
         assert command < 3 * rows
 
+    # An EGF coefficient of order n can be megabytes of text, so each is
+    # written as it is made, on its own and without a copy.  Against the row
+    # step alone at order 60, the peak read 2.9-3.2x, 3.3-3.7x with the last
+    # coefficient's text held while the next is made, and 13-16x with 16
+    # coefficients written a piece.
+    @pytest.mark.parametrize("which", ["c", "chat"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_egf_output_holds_about_one_coefficient(self, which, fmt):
+        argv = ["egf", "--which", which, "--format", fmt, "--order"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main([*argv, "30"]) == 0  # imports the command's modules first
+            command = _traced_peak(lambda: main([*argv, "60"]))
+        rows = _traced_peak(lambda: deque(triangle_rows(TriangleKind.WHITNEY_FIRST, 60), maxlen=1))
+        assert command < 5 * rows
+
     # An --eval row is written in pieces of cli.PIECE_CELLS cells, so the
     # command holds its rows of Decimals and one piece of text.  A row's
     # text is about twice its Decimals: written whole, the command's peak
@@ -399,11 +414,11 @@ class TestLargeAndInterruptedOutput:
         assert command < 1.9 * rows
 
     # No reduced row is held while the next is made, by decimal_rows or by
-    # the --eval writer: against the two integer rows of the row step, the
+    # the --eval cells: against the two integer rows of the row step, the
     # peaks read, at q = 1/3, r = 2/7 (D = 21, where many entries reduce)
-    # and n = 200, 2.80-2.96x for the rows alone and 1.30-1.31x more with
-    # the writer.  Holding the previous row read 3.42-3.55x in
-    # decimal_rows, and 1.45-1.49x in the writer.
+    # and n = 200, 2.78-2.96x for the rows alone and 1.23-1.26x more with
+    # the cell texts.  Holding the previous row read 3.42-3.55x in
+    # decimal_rows, and 1.44-1.50x in the cells.
     @pytest.mark.parametrize(
         "kind, fmt",
         [
@@ -419,9 +434,16 @@ class TestLargeAndInterruptedOutput:
             for row in decimal_rows(kind, 200, *point):
                 del row
 
+        # A plain loop holds one cell at a time; a comprehension that kept
+        # one object per row read 1.93-1.94x.
+        def cells():
+            for _, row in _eval_cells(decimal_rows(kind, 200, *point), fmt):
+                for cell in row:
+                    pass
+
         step = _traced_peak(lambda: deque(scaled_rows(kind, 200, *point)[1], maxlen=1))
         rows = _traced_peak(dropped)
-        written = _traced_peak(lambda: deque(_eval_pieces(decimal_rows(kind, 200, *point), fmt), maxlen=0))
+        written = _traced_peak(cells)
         assert rows < 3.2 * step
         assert written < 1.38 * rows
 

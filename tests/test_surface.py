@@ -111,3 +111,49 @@ def test_the_imports_check_sees_each_kind_of_import():
         ("", "qwhitney.series"), ("f", "qwhitney"), ("f", "qwhitney.series"),
         ("f", "qwhitney.suites"), ("f", "qwhitney.suites.run_suite"),
     ]
+
+
+# Literals of the command line's output layout: the brackets and separators
+# of a JSON triangle, the "entries" key of the JSON head, and the text labels
+# "n=N k=K: " and "t^N: ".
+LAYOUT_LITERALS = ("[[", "],[", "]]", ',"entries":', "n=", "t^")
+
+
+def _layout_scopes(tree: ast.Module) -> set[str]:
+    """The top-level functions (or "" for module level) with a string constant,
+    not a docstring, that holds a layout literal; an f-string's literal parts count."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    found = set()
+    for top in tree.body:
+        scope = top.name if isinstance(top, ast.FunctionDef) else ""
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+                and any(literal in node.value for literal in LAYOUT_LITERALS)
+            ):
+                found.add(scope)
+    return found
+
+
+def test_only_the_writer_knows_the_cli_output_layout():
+    tree = ast.parse((Path(qwhitney.__file__).parent / "cli.py").read_text())
+    assert _layout_scopes(tree) == {"_write_rows"}
+
+
+def test_the_layout_check_sees_each_kind_of_literal():
+    source = (
+        'HEAD = \',"entries":\'\n'
+        'def rows():\n    """n=N k=K: [[...]]"""\n    return "],["\n'
+        'def label(n):\n    return f"t^{n}: "\n'
+        'def plain():\n    return "[1, 2] n = 3"\n'
+    )
+    assert _layout_scopes(ast.parse(source)) == {"", "rows", "label"}
