@@ -61,6 +61,7 @@ import enum
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
@@ -97,11 +98,18 @@ def cauchy_of_row(kind: CauchyKind, row: Sequence[BiPoly]) -> BiPoly:
     return _row_sum(row, alternating=True).subst_r(-1, 0)
 
 
+def _last_row(rows: Iterator[list], n: int) -> list:
+    """Row n of rows 0..n.  Each row before it is dropped as soon as it is made:
+    ``deque(rows, maxlen=1)`` or a for loop would hold it while the step makes
+    the next, and so hold two rows, not the step's one."""
+    return next(islice(rows, n, None))
+
+
 def cauchy_poly(kind: CauchyKind, n: int) -> BiPoly:
     """c_n(r) or chat_n(r) as a polynomial in q and r, from the last first-kind row only."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return cauchy_of_row(kind, deque(triangles.triangle_rows(TriangleKind.WHITNEY_FIRST, n), maxlen=1).pop())
+    return cauchy_of_row(kind, _last_row(triangles.triangle_rows(TriangleKind.WHITNEY_FIRST, n), n))
 
 
 def cauchy_first(n: int) -> BiPoly:
@@ -193,7 +201,7 @@ def cauchy_value(kind: CauchyKind, n: int, q0: Fraction | int, r0: Fraction | in
     powers, rows = triangles.scaled_rows(
         TriangleKind.WHITNEY_FIRST, n, q0, -as_rational(r0) if second else r0
     )
-    row = deque(rows, maxlen=1).pop()
+    row = _last_row(rows, n)
     common = lcm(*range(1, n + 2))
     total = sum(
         (-u if second and k % 2 else u) * powers[k] * (common // (k + 1))

@@ -78,7 +78,7 @@ _EXIT_INTERRUPTED = 130
 
 # Largest size a command accepts, so that a mistyped size cannot run for
 # hours.  A symbolic result of size n is printed as about n^3/6
-# coefficients, made from about two triangle rows held at a time, and an
+# coefficients, made from one triangle row held at a time, and an
 # --eval row of size n has n + 1 entries of about n times the digits of the
 # point (MAX_EVAL_DIGITS).  The README gives the time and peak RSS of the
 # slowest accepted inputs.
@@ -93,13 +93,13 @@ MAX_VERIFY_SIZE = 48
 # least common denominator D, counted in the largest of |A|, |C| and D.
 # An entry of size n has about n times that many digits (plus n*log10(n)
 # from the factors k*A + C), and a row holds n + 1 of them, so this bounds
-# the memory of the two rows that the row step holds: about 2000 * 10^4
-# digits each at MAX_EVAL_SIZE.  The reduced row is dropped before the next
-# is made, and its text is never held whole, only one piece.  The powers
-# D^0..D^n, from which the dens are made, are kept as Decimals, about half
-# a row's digits, and as ints only up to D^J, about one machine word.  The
-# points in use are far below it: 3 digits at n = 300 in the benchmark,
-# and D = 10^200 at n <= 40 in the tests.
+# the memory of the one row that the row step holds, updated in place:
+# about 2000 * 10^4 digits at MAX_EVAL_SIZE.  Each entry is reduced as it
+# is written, so no reduced row is held, and the text is never held whole,
+# only one piece.  The powers D^0..D^n, from which the dens are made, are
+# kept as Decimals, about half a row's digits, and as ints only up to D^J,
+# about one machine word.  The points in use are far below it: 3 digits at
+# n = 300 in the benchmark, and D = 10^200 at n <= 40 in the tests.
 MAX_EVAL_DIGITS = 10_000
 
 # Largest --n-max of verify times the digits of its --shift-values, summed
@@ -197,7 +197,7 @@ def _json_value(value) -> str:
 # Most cells of one row in one piece of output.  A piece is joined and
 # written as soon as it is made, so output text is held one piece at a time,
 # never a whole row (a row at MAX_EVAL_SIZE is tens of MB of digits), and at
-# 16 cells a piece is small beside the two rows of the row step (README).
+# 16 cells a piece is small beside the one row of the row step (README).
 PIECE_CELLS = 16
 
 
@@ -251,10 +251,11 @@ def _eval_cells(values, fmt: str):
 
     A den object that ``decimal_rows`` shares down a column n - k is printed
     once: each column keeps its last den with the text after the numerator,
-    and only a cell's own text is made from it.  A row's cells are read
-    before the next row is asked for, as ``_write_rows`` reads them, and row
-    n is dropped before row n + 1 is made (enumerate's result tuple would
-    hold it), so that only the step's two rows are held.
+    and only a cell's own text is made from it.  A row's cells are read,
+    and so reduced, one at a time before the next row is asked for, as
+    ``_write_rows`` reads them, and row n is dropped before row n + 1 is
+    made (enumerate's result tuple would hold it), so that only the step's
+    one row is held.
     """
     one = Decimal(1)  # compares with a Decimal faster than the int 1 does
     as_json = fmt == "json"
@@ -298,11 +299,21 @@ def _cmd_triangle(args: SimpleNamespace) -> int:
         # str() of a Decimal prints its digits in linear time.
         rows = _eval_cells(decimal_rows(base, n_max, *point), fmt)
     else:
-        rows = (
-            (n, (_poly_str(p, fmt) for p in row))
-            for n, row in enumerate(triangle_rows(TriangleKind(kind), n_max, args.r0))
-        )
+        rows = _poly_cells(triangle_rows(TriangleKind(kind), n_max, args.r0), fmt)
     return _write_rows(header, rows, fmt, "triangle")
+
+
+def _poly_cells(rows, fmt: str):
+    """Rows (n, cell texts) of rows of BiPolys, each dropped before the next is made.
+
+    A generator expression or enumerate would hold row n while the step
+    makes row n + 1, and so hold two rows, not the step's one.
+    """
+    n = 0
+    for row in rows:
+        yield n, (_poly_str(p, fmt) for p in row)
+        del row
+        n += 1
 
 
 def _cmd_cauchy(args: SimpleNamespace) -> int:
@@ -333,15 +344,24 @@ def _cmd_egf(args: SimpleNamespace) -> int:
     # Column k of a row reads only columns k - 1 and k of the row before, so
     # w:K runs the row step on columns 0..K.
     k = int(which[2:]) if which.startswith("w:") else None
-    rows = triangle_rows(TriangleKind.WHITNEY_FIRST, order, k_max=k)
-    if k is None:
-        terms = (cauchy_of_row(CauchyKind.FIRST if which == "c" else CauchyKind.SECOND, row) for row in rows)
-    elif k <= order:
-        terms = (row[k] if k <= n else ZERO for n, row in enumerate(rows))
-    else:  # column k starts at row k
-        terms = [ZERO] * (order + 1)
-    series = ((n, [_poly_str(p.scale(Fraction(1, factorial(n))), fmt)]) for n, p in enumerate(terms))
-    return _write_rows({"kind": which, "order": order}, series, fmt, "series")
+    cauchy_kind = CauchyKind.FIRST if which == "c" else CauchyKind.SECOND
+    if k is None or k <= order:
+        rows = triangle_rows(TriangleKind.WHITNEY_FIRST, order, k_max=k)
+    else:  # column k starts at row k, so no step runs
+        rows = [()] * (order + 1)
+
+    def series():
+        # Row n is dropped before row n + 1 is made, and the term before
+        # the next row's.
+        n = 0
+        for row in rows:
+            term = cauchy_of_row(cauchy_kind, row) if k is None else row[k] if k <= n else ZERO
+            del row
+            yield n, [_poly_str(term.scale(Fraction(1, factorial(n))), fmt)]
+            del term
+            n += 1
+
+    return _write_rows({"kind": which, "order": order}, series(), fmt, "series")
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:

@@ -21,9 +21,11 @@ the rows one at a time, and the command line prints each as it is made;
 u(n, k) = w(n, k) * D^(n-k) (or W); the Stirling kinds are those integer
 rows at q = 1, r = r0, where D = 1.  ``decimal_rows`` runs that step over
 integer-valued Decimals in an exact context, so that a row can be printed
-with ``str()`` in time linear in its digits, and reduces each row to
-lowest terms in one loop as it is read out, from the same step over ints
-mod D^J.  ``row_poly`` reassembles sum_k w(n, k) x^k as a ``Series`` of
+with ``str()`` in time linear in its digits, and reduces each entry to
+lowest terms as it is read out, from the same step over ints mod D^J.
+The one row step updates its row in place, so it holds one row, not two;
+a caller that drops each row before asking for the next holds one in
+all.  ``row_poly`` reassembles sum_k w(n, k) x^k as a ``Series`` of
 order n, to check against the defining product, and
 ``whitney_first_cheon`` computes one first-kind entry from the closed
 double-sum form
@@ -106,31 +108,41 @@ def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0, k_max: int | 
     m_k = -(n*q + r) for the first kind and m_k = k*q + r for the second,
     whose list grows by one per row.  The step is the ring's multiply-add:
     ``BiPoly.add_mul``, which forms the sum in one numerator map, and
-    a + m*b for int and Decimal.  With integer q, r and one, a nonzero
-    ``mod`` reduces each row mod it, so the rows hold the residues of the
-    integer rows.  A ``k_max`` cuts each row after column k_max: column k
-    reads only columns k - 1 and k of the row before, so the columns kept
-    are those of the whole rows.
+    a + m*b for int and Decimal.  It updates one row in place, k from the
+    top down, so each old entry is freed as its replacement is made and
+    the step holds one row, not two.  Each row is yielded as a copy of the
+    list, which shares the entries, so a caller that drops it before
+    asking for the next holds no other row.  With integer q, r and one, a
+    nonzero ``mod`` reduces each row mod it, so the rows hold the residues
+    of the integer rows.  A ``k_max`` cuts each row after column k_max:
+    column k reads only columns k - 1 and k of the row before, so the
+    columns kept are those of the whole rows.
     """
     second = kind is TriangleKind.WHITNEY_SECOND
     fused = isinstance(one, BiPoly)
     last = n_max if k_max is None else k_max
     mults = []
     row = [one]
-    yield row
+    yield row[:]
     for n in range(n_max):
         if second:
             mults.append(n * q + r)
         else:
             mults = [-(n * q + r)] * len(row)
-        row = [
-            mults[0] * row[0],
-            *[a.add_mul(m, b) if fused else a + m * b for a, m, b in zip(row, mults[1:], row[1:])],
-            *row[n:last],  # the diagonal entry, while n < last
-        ]
+        top = len(row) - 1
+        if n < last:
+            row.append(row[n])  # the diagonal entry
+        # The ring is tested once per row, not once per entry.
+        if fused:
+            for k in range(top, 0, -1):
+                row[k] = row[k - 1].add_mul(mults[k], row[k])
+        else:
+            for k in range(top, 0, -1):
+                row[k] = row[k - 1] + mults[k] * row[k]
+        row[0] = mults[0] * row[0]
         if mod:
             row = [u % mod for u in row]
-        yield row
+        yield row[:]
 
 
 def triangle_rows(
@@ -140,10 +152,10 @@ def triangle_rows(
 
     The arguments are checked at the call.  The w and W kinds run the row
     step over BiPoly with symbolic q and r; the Stirling kinds are the
-    integer rows of the step at q = 1, r = r0 (0 for s).  The step keeps
-    only its last row, so a caller that drops each row holds two.  A
-    ``k_max`` gives each row's columns 0..k_max only, and the step computes
-    no others.
+    integer rows of the step at q = 1, r = r0 (0 for s).  The step holds
+    one row, updated in place, so a caller that drops each row before
+    asking for the next holds one.  A ``k_max`` gives each row's columns
+    0..k_max only, and the step computes no others.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -156,8 +168,15 @@ def triangle_rows(
         raise ValueError("r0 only applies to the r-Stirling kind")
     if kind in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
         return _rows(kind, n_max, Q, R, ONE, k_max=k_max)
-    ints = _rows(TriangleKind.WHITNEY_FIRST, n_max, 1, r0 or 0, 1, k_max=k_max)  # r0 is None for s
-    return ([BiPoly.const(u) for u in row] for row in ints)
+    return _const_rows(_rows(TriangleKind.WHITNEY_FIRST, n_max, 1, r0 or 0, 1, k_max=k_max))  # r0 is None for s
+
+
+def _const_rows(ints: Iterator[list[int]]) -> Iterator[list[BiPoly]]:
+    """Each int row as constant BiPolys; no row is held while the next is made."""
+    for row in ints:
+        row = [BiPoly.const(u) for u in row]
+        yield row
+        del row
 
 
 def triangle(kind: TriangleKind, n_max: int, r0: int | None = None) -> Triangle:
@@ -227,7 +246,8 @@ def scaled_rows(
 
 # Integer arithmetic in base 10 with no rounding: a result that would need
 # more digits than the context holds raises Inexact or Rounded rather than
-# lose one.  Entered only while a row is computed (see ``decimal_rows``).
+# lose one.  Entered only while the step computes a row; the reduction of a
+# cell calls its methods instead (see ``decimal_rows``).
 _EXACT = Context(
     prec=MAX_PREC,
     Emax=MAX_EMAX,
@@ -239,25 +259,29 @@ _DECIMAL_ZERO = (Decimal(0), Decimal(1))
 
 def decimal_rows(
     kind: TriangleKind, n_max: int, q0: Fraction | int, r0: Fraction | int
-) -> Iterator[list[tuple[Decimal, Decimal]]]:
-    """Rows of w or W at (q0, r0), one at a time, as (num, den) pairs of Decimals.
+) -> Iterator[Iterator[tuple[Decimal, Decimal]]]:
+    """Rows of w or W at (q0, r0), one at a time, each an iterator of (num, den) pairs of Decimals.
 
     Each pair is in lowest terms with den > 0, as in ``Fraction``, and
     both are integers with exponent 0, so ``str()`` prints their digits,
     in time linear in their length (``str()`` of an int takes quadratic
-    time).  The step of ``scaled_rows`` runs on integer-valued Decimals in
-    an exact context, entered only while a row is computed, never across
-    a ``yield``: the caller's decimal context is the same between rows.
+    time).  A row is read once, and each pair is reduced as it is read,
+    so no reduced row is ever held.  The rows may be read in any order,
+    or in part.  The step of ``scaled_rows`` runs on integer-valued
+    Decimals in an exact context, entered only while a row is computed,
+    never across a ``yield``; the reduction calls that context's methods.
+    So the caller's decimal context is the same between rows and between
+    the pairs of a row.
 
     The same step also runs on ints mod D^J, with J = 64 // D.bit_length()
     (at least 1, at most n_max), so that D^J is about one machine word.
     The step is linear with the integer multipliers k*A + C (or n*A + C),
     so these rows hold u(n, k) mod D^J, and gcd(res, D^j) = gcd(u, D^j)
-    for j = min(n - k, J).  Each row is reduced in one loop from that gcd,
-    and a column's denominator D^(n-k) / g is reused while g repeats, so
-    a den object may be shared between rows.  The Decimal powers
-    D^0..D^n_max, from which the dens are made, are all kept; of the int
-    powers only D^0..D^J are.
+    for j = min(n - k, J).  Each pair is reduced from that gcd, and a
+    column's denominator D^(n-k) / g is reused while g repeats, so a den
+    object may be shared between rows.  The Decimal powers D^0..D^n_max,
+    from which the dens are made, are all kept; of the int powers only
+    D^0..D^J are.
     """
     d, a, c = _scaled_point(kind, n_max, q0, r0)
     one = Decimal(1)
@@ -271,8 +295,8 @@ def decimal_rows(
     return _reduced_rows(rows, residues, d, powers, dpowers)
 
 
-def _reduced_rows(rows, residues, d: int, powers: list[int], dpowers: list) -> Iterator[list]:
-    """Each row's entries u / D^m, m = n - k, in lowest terms, in one loop per row.
+def _reduced_rows(rows, residues, d: int, powers: list[int], dpowers: list) -> Iterator[Iterator[tuple]]:
+    """Each row's entries u / D^m, m = n - k, in lowest terms, each reduced as it is read.
 
     ``powers`` holds the ints D^0..D^J, J the width of the residues, and
     ``dpowers`` the Decimals D^0..D^n_max.  Only primes of D can cancel.
@@ -283,35 +307,41 @@ def _reduced_rows(rows, residues, d: int, powers: list[int], dpowers: list) -> I
     gcd(u mod D^j, D^j), with D^j computed for that j, until g divides
     D^(j-1) or j = m: no gcd of full-size operands is taken.  A zero
     entry, which the step can leave as a negative zero, is 0/1.  Column m
-    keeps its last g > 1, as an int and a Decimal, with D^m / g, and
-    reuses them while its g stays the same.  A row is not held once
-    yielded, so the caller that drops it holds none while the next is made.
+    keeps its last g > 1, as an int and a Decimal, with D^m / g, in
+    ``cols``, which all rows share, and reuses them while its g stays the
+    same.  A row's iterator holds that row of the step and of the
+    residues, both copies, so the caller that drops it once read holds
+    no row while the next is made.
     """
     big_j = len(powers) - 1
     cols = [(1, None, None)] * len(dpowers)
+
+    def reduced(n: int, row: list, residues: list[int]) -> Iterator[tuple]:
+        # In the caller's context: the divisions are methods of _EXACT.
+        divide, remainder = _EXACT.divide_int, _EXACT.remainder
+        for m, u, res in zip(range(n, -1, -1), row, residues):
+            j = m if m < big_j else big_j
+            g = gcd(res, powers[j])
+            if not u:
+                yield _DECIMAL_ZERO
+                continue
+            while j < m and (powers[j - 1] if j <= big_j else dj // d) % g:
+                j = min(2 * j, m)
+                dj = d**j
+                g = gcd(int(remainder(u, dpowers[j])), dj)
+            if g == 1:
+                yield u, dpowers[m]
+                continue
+            col = cols[m]
+            if col[0] != g:
+                col = cols[m] = (g, dg := Decimal(g), divide(dpowers[m], dg))
+            yield divide(u, col[1]), col[2]
+
     for n in range(len(dpowers)):
         with localcontext(_EXACT):
             row = next(rows)  # runs the step, so inside the exact context
-            reduced = []
-            add = reduced.append
-            for m, u, res in zip(range(n, -1, -1), row, next(residues)):
-                j = m if m < big_j else big_j
-                g = gcd(res, powers[j])
-                if not u:
-                    add(_DECIMAL_ZERO)
-                    continue
-                while j < m and (powers[j - 1] if j <= big_j else dj // d) % g:
-                    j = min(2 * j, m)
-                    dj = d**j
-                    g = gcd(int(u % dpowers[j]), dj)
-                if g == 1:
-                    add((u, dpowers[m]))
-                    continue
-                if cols[m][0] != g:
-                    cols[m] = (g, dg := Decimal(g), dpowers[m] // dg)
-                add((u // cols[m][1], cols[m][2]))
-        yield reduced
-        del reduced, add  # so that no row is held while the next is made
+        yield reduced(n, row, next(residues))
+        del row  # so that no row is held while the next is made
 
 
 def _fraction_rows(kind: TriangleKind, n_max: int, q0, r0) -> list[list[Fraction]]:

@@ -255,7 +255,7 @@ class TestRationalInputs:
         "cheon_counterexample": lambda x: cheon_counterexample(1, x),
         "scaled_rows q0": lambda x: _listed(scaled_rows(TriangleKind.WHITNEY_FIRST, 2, x, 0)),
         "scaled_rows r0": lambda x: _listed(scaled_rows(TriangleKind.WHITNEY_SECOND, 2, 1, x)),
-        "decimal_rows": lambda x: list(decimal_rows(TriangleKind.WHITNEY_FIRST, 2, 1, x)),
+        "decimal_rows": lambda x: [list(row) for row in decimal_rows(TriangleKind.WHITNEY_FIRST, 2, 1, x)],
         "whitney_first_values": lambda x: whitney_first_values(2, x, 0),
         "whitney_second_values": lambda x: whitney_second_values(2, 1, x),
         "cauchy_value first": lambda x: cauchy_value(CauchyKind.FIRST, 2, x, 0),

@@ -65,6 +65,15 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+def _read_each_row(rows) -> None:
+    """Read the pairs of each row of ``decimal_rows``, one at a time, and drop
+    the row before the next is made, as the --eval writer does."""
+    for row in rows:
+        for pair in row:
+            pass
+        del row, pair
+
+
 class TestPinnedExamples:
     def test_cauchy_text(self, capsys):
         code, out, _ = run_cli(capsys, "cauchy", "--kind", "first", "--n", "2", "--format", "text")
@@ -357,10 +366,10 @@ class TestLargeAndInterruptedOutput:
         assert code == 141
 
     # A symbolic result of size n prints about n^3/6 coefficients but holds
-    # about two rows: its peak is compared with that of the row step alone
-    # at the same n, which holds two rows.  A row grows like n^2 terms, so
-    # two rows alone grow about 4x from n = 30 to 60, and the whole
-    # triangle about 8x.
+    # about one row and one piece of text: its peak is compared with that
+    # of the row step read through deque(maxlen=1), which holds two rows at
+    # the same n.  A row grows like n^2 terms, so two rows alone grow about
+    # 4x from n = 30 to 60, and the whole triangle about 8x.
     @pytest.mark.parametrize(
         "argv, kind",
         [
@@ -392,10 +401,13 @@ class TestLargeAndInterruptedOutput:
         assert command < 5 * rows
 
     # An --eval row is written in pieces of cli.PIECE_CELLS cells, so the
-    # command holds its rows of Decimals and one piece of text.  A row's
-    # text is about twice its Decimals: written whole, the command's peak
-    # read 2.2-2.3x that of the rows alone, in pieces of 64 cells 1.6-1.7x,
-    # and in pieces of 16 cells with no row held across the step 1.3x.
+    # command holds the step's one row of Decimals, the den caches and one
+    # piece of text.  Against decimal_rows read pair by pair, which holds
+    # that one row, the command's peak read 1.56-1.81x.  A row's text is
+    # about twice its Decimals: against decimal_rows read through
+    # deque(maxlen=1), which held two rows, the command read 2.2-2.3x with
+    # each row written whole, 1.6-1.7x in pieces of 64 cells, and 1.3x in
+    # pieces of 16 cells with no row held across the step.
     @pytest.mark.parametrize(
         "kind, fmt",
         [
@@ -410,15 +422,17 @@ class TestLargeAndInterruptedOutput:
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             assert main([*argv, "20"]) == 0  # imports the command's modules first
             command = _traced_peak(lambda: main([*argv, "200"]))
-        rows = _traced_peak(lambda: deque(decimal_rows(kind, 200, *point), maxlen=1))
+        rows = _traced_peak(lambda: _read_each_row(decimal_rows(kind, 200, *point)))
         assert command < 1.9 * rows
 
     # No reduced row is held while the next is made, by decimal_rows or by
-    # the --eval cells: against the two integer rows of the row step, the
-    # peaks read, at q = 1/3, r = 2/7 (D = 21, where many entries reduce)
-    # and n = 200, 2.78-2.96x for the rows alone and 1.23-1.26x more with
-    # the cell texts.  Holding the previous row read 3.42-3.55x in
-    # decimal_rows, and 1.44-1.50x in the cells.
+    # the --eval cells: against the integer row step read through
+    # deque(maxlen=1), which holds two rows, the peaks read, at q = 1/3,
+    # r = 2/7 (D = 21, where many entries reduce) and n = 200, 2.16-2.52x
+    # for the rows read pair by pair and 1.21-1.22x more with the cell
+    # texts.  A step that held two rows, with each row reduced whole, read
+    # 2.64-2.96x and 1.25-1.29x; holding the previous row as well read
+    # 3.42-3.55x in decimal_rows, and 1.44-1.50x in the cells.
     @pytest.mark.parametrize(
         "kind, fmt",
         [
@@ -431,8 +445,7 @@ class TestLargeAndInterruptedOutput:
         point = (F(1, 3), F(2, 7))
 
         def dropped():
-            for row in decimal_rows(kind, 200, *point):
-                del row
+            _read_each_row(decimal_rows(kind, 200, *point))
 
         # A plain loop holds one cell at a time; a comprehension that kept
         # one object per row read 1.93-1.94x.
