@@ -30,7 +30,8 @@ Both give the same options, so a job that prints no help and no error never
 loads argparse.
 
 Every result is written by ``_write_rows``, the one function that knows the
-output layout; a command hands it rows of cell texts.
+output layout.  ``cauchy`` hands it one row (n, cell texts), labelled --n,
+and the others the rows of ``_numbered``, which drops each before the next.
 
 ``run`` is the process entry point of ``python -m qwhitney`` and of the
 ``qwhitney`` script: it calls ``main`` on ``sys.argv``, freezes the heap
@@ -245,35 +246,40 @@ def _write_rows(header: dict, rows, fmt: str, shape: str) -> int:
     return 0
 
 
+def _numbered(rows, cells):
+    """(n, cells(n, row)) for each row n, with row n dropped before row n + 1 is made:
+    enumerate or a generator expression would hold it, and so hold two rows."""
+    n = 0
+    for row in rows:
+        yield n, cells(n, row)
+        del row
+        n += 1
+
+
 def _eval_cells(values, fmt: str):
     """Rows (n, cell texts) of rows of (num, den) pairs: "num/den", or "num" at
     den 1, and {"num":num,"den":den} in json.
 
     A den object that ``decimal_rows`` shares down a column n - k is printed
     once: each column keeps its last den with the text after the numerator,
-    and only a cell's own text is made from it.  A row's cells are read,
-    and so reduced, one at a time before the next row is asked for, as
-    ``_write_rows`` reads them, and row n is dropped before row n + 1 is
-    made (enumerate's result tuple would hold it), so that only the step's
-    one row is held.
+    and only a cell's own text is made from it.  ``_numbered`` drops the row.
     """
     one = Decimal(1)  # compares with a Decimal faster than the int 1 does
     as_json = fmt == "json"
     ends: list = []  # column n - k: its last den and the text after the numerator
 
-    def cells(row):
+    def texts(row):
         for k, (a, b) in enumerate(row):
             end = ends[-1 - k]
             if end[0] is not b:
                 end = ends[-1 - k] = (b, f',"den":{b}}}' if as_json else f"/{b}" if b != one else "")
             yield f'{{"num":{a!s}{end[1]}' if as_json else f"{a!s}{end[1]}"
 
-    n = 0
-    for row in values:
-        ends.append((None, ""))
-        yield n, cells(row)
-        del row
-        n += 1
+    def cells(n, row):
+        ends.append((None, ""))  # column n, before the row's first cell is read
+        return texts(row)
+
+    return _numbered(values, cells)
 
 
 def _cmd_triangle(args: SimpleNamespace) -> int:
@@ -299,21 +305,9 @@ def _cmd_triangle(args: SimpleNamespace) -> int:
         # str() of a Decimal prints its digits in linear time.
         rows = _eval_cells(decimal_rows(base, n_max, *point), fmt)
     else:
-        rows = _poly_cells(triangle_rows(TriangleKind(kind), n_max, args.r0), fmt)
+        rows = triangle_rows(TriangleKind(kind), n_max, args.r0)
+        rows = _numbered(rows, lambda n, row: (_poly_str(p, fmt) for p in row))
     return _write_rows(header, rows, fmt, "triangle")
-
-
-def _poly_cells(rows, fmt: str):
-    """Rows (n, cell texts) of rows of BiPolys, each dropped before the next is made.
-
-    A generator expression or enumerate would hold row n while the step
-    makes row n + 1, and so hold two rows, not the step's one.
-    """
-    n = 0
-    for row in rows:
-        yield n, (_poly_str(p, fmt) for p in row)
-        del row
-        n += 1
 
 
 def _cmd_cauchy(args: SimpleNamespace) -> int:
@@ -349,19 +343,10 @@ def _cmd_egf(args: SimpleNamespace) -> int:
         rows = triangle_rows(TriangleKind.WHITNEY_FIRST, order, k_max=k)
     else:  # column k starts at row k, so no step runs
         rows = [()] * (order + 1)
-
-    def series():
-        # Row n is dropped before row n + 1 is made, and the term before
-        # the next row's.
-        n = 0
-        for row in rows:
-            term = cauchy_of_row(cauchy_kind, row) if k is None else row[k] if k <= n else ZERO
-            del row
-            yield n, [_poly_str(term.scale(Fraction(1, factorial(n))), fmt)]
-            del term
-            n += 1
-
-    return _write_rows({"kind": which, "order": order}, series(), fmt, "series")
+    # map drops each row once its term is made, before the term's text is.
+    terms = map(lambda row: cauchy_of_row(cauchy_kind, row) if k is None else row[k] if k < len(row) else ZERO, rows)
+    cells = _numbered(terms, lambda n, term: [_poly_str(term.scale(Fraction(1, factorial(n))), fmt)])
+    return _write_rows({"kind": which, "order": order}, cells, fmt, "series")
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:

@@ -14,21 +14,21 @@ Second kind (W):  x^n = sum_k W(n, k) * (x - r | q)_k
 Setting q = 1, r = 0 in the first kind gives the signed Stirling numbers of
 the first kind; q = 1, r = r0 gives the r-Stirling variant shifted so that
 entry (n, k) holds the coefficient tied to (n + r0, k + r0) in the doubly
-shifted convention.  Entries are BiPoly values.  ``triangle_rows`` yields
-the rows one at a time, and the command line prints each as it is made;
-``triangle`` holds them all.  At a rational point (q0, r0) = (A/D, C/D),
-``scaled_rows`` runs the same recurrence step over the integers
-u(n, k) = w(n, k) * D^(n-k) (or W); the Stirling kinds are those integer
-rows at q = 1, r = r0, where D = 1.  ``decimal_rows`` runs that step over
-integer-valued Decimals in an exact context, so that a row can be printed
-with ``str()`` in time linear in its digits, and reduces each entry to
-lowest terms as it is read out, from the same step over ints mod D^J.
-The one row step updates its row in place, so it holds one row, not two;
-a caller that drops each row before asking for the next holds one in
-all.  ``row_poly`` reassembles sum_k w(n, k) x^k as a ``Series`` of
-order n, to check against the defining product, and
-``whitney_first_cheon`` computes one first-kind entry from the closed
-double-sum form
+shifted convention.  Entries are BiPoly values, all made by one row step
+over BiPoly, at symbolic q and r for w and W and at q = 1, r = r0 for the
+Stirling kinds.  ``triangle_rows`` yields the rows one at a time, and the
+command line prints each as it is made; ``triangle`` holds them all.  At
+a rational point (q0, r0) = (A/D, C/D), ``scaled_rows`` runs the same
+step over the integers u(n, k) = w(n, k) * D^(n-k) (or W), and
+``decimal_rows`` runs it over integer-valued Decimals in an exact
+context, so that a row can be printed with ``str()`` in time linear in
+its digits, and reduces each entry to lowest terms as it is read out,
+from the same step over ints mod D^J.  The one row step updates its row
+in place, so it holds one row, not two; a caller that drops each row
+before asking for the next holds one in all.  ``row_poly`` reassembles
+sum_k w(n, k) x^k as a ``Series`` of order n, to check against the
+defining product, and ``whitney_first_cheon`` computes one first-kind
+entry from the closed double-sum form
 
     w(n, k) = sum_{i} C(n, i) * (-1)^(n-i) * q^(i-k) * [r|q]_(n-i) * s(i, k)
 
@@ -101,7 +101,7 @@ class Triangle(NamedTuple):
 
 
 def _rows(kind: TriangleKind, n_max: int, q, r, one, mod: int = 0, k_max: int | None = None) -> Iterator[list]:
-    """Rows 0..n_max of w or W, with q and r taken from any commutative ring.
+    """Rows 0..n_max of W for the second kind, else of w, with q and r from any commutative ring.
 
     Both triangles follow one step, row[k] = prev[k-1] + m_k * prev[k] with
     entries outside 0..n read as zero; only the multiplier differs:
@@ -150,12 +150,11 @@ def triangle_rows(
 ) -> Iterator[list[BiPoly]]:
     """Rows 0..n_max of a triangle by kind, one at a time; r0 applies to the r-Stirling kind only.
 
-    The arguments are checked at the call.  The w and W kinds run the row
-    step over BiPoly with symbolic q and r; the Stirling kinds are the
-    integer rows of the step at q = 1, r = r0 (0 for s).  The step holds
-    one row, updated in place, so a caller that drops each row before
-    asking for the next holds one.  A ``k_max`` gives each row's columns
-    0..k_max only, and the step computes no others.
+    The arguments are checked at the call.  Every kind runs the one row
+    step over BiPoly, w and W at symbolic q and r and the Stirling kinds as
+    w at q = 1, r = r0 (0 for s); it holds one row, so a caller that drops
+    each row before asking for the next holds one.  A ``k_max`` gives each
+    row's columns 0..k_max only, and the step computes no others.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -166,17 +165,9 @@ def triangle_rows(
             raise ValueError("r0 must be a nonnegative integer")
     elif r0 is not None:
         raise ValueError("r0 only applies to the r-Stirling kind")
-    if kind in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND):
-        return _rows(kind, n_max, Q, R, ONE, k_max=k_max)
-    return _const_rows(_rows(TriangleKind.WHITNEY_FIRST, n_max, 1, r0 or 0, 1, k_max=k_max))  # r0 is None for s
-
-
-def _const_rows(ints: Iterator[list[int]]) -> Iterator[list[BiPoly]]:
-    """Each int row as constant BiPolys; no row is held while the next is made."""
-    for row in ints:
-        row = [BiPoly.const(u) for u in row]
-        yield row
-        del row
+    whitney = kind in (TriangleKind.WHITNEY_FIRST, TriangleKind.WHITNEY_SECOND)
+    q, r = (Q, R) if whitney else (ONE, BiPoly.const(r0 or 0))  # r0 is None for s
+    return _rows(kind, n_max, q, r, ONE, k_max=k_max)
 
 
 def triangle(kind: TriangleKind, n_max: int, r0: int | None = None) -> Triangle:
