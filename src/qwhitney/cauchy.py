@@ -13,16 +13,18 @@ first-kind triangle:
     chat_n(-r)   = sum_k (-1)^k w(n, k) / (k + 1)
 
 ``cauchy_of_row`` takes either sum over one row (the second at -r), and
-``cauchy_poly`` over the last row of ``triangles.triangle_rows`` only.  At
+``cauchy_poly`` over row n of ``triangles.triangle_rows`` only.  At
 a rational point, ``cauchy_value`` takes the same sums over one integer row
 of the first-kind triangle and never builds the polynomial.  Each
 construction has an independent oracle: the ``*_integrals`` functions
 build the defining product factor by factor and integrate it termwise
 after each factor, and ``cauchy_first_stirling_sums`` uses the closed
 double sum over Stirling numbers, which is the shift law below taken from
-r = 0.  Each yields n = 0..n_max in turn, in one pass, and the per-n
-``*_integral`` and ``cauchy_first_via_stirling`` keep its last value.
-Agreement of the code paths is what the oracle suites check.
+r = 0.  Each yields n = 0..n_max in turn, in one pass.  Every per-n
+function here (``cauchy_poly``, ``cauchy_value``, the ``*_integral``
+functions, ``cauchy_first_via_stirling`` and the ``*_counterexample``
+functions below) reads item n of its pass through ``_nth``, which holds one
+item at a time.  Agreement of the code paths is what the oracle suites check.
 
 Setting q = 1 and r = 0 gives the classical Cauchy numbers of both kinds
 (1, 1/2, -1/6, 1/4, ... and 1, -1/2, 5/6, -9/4, ...); keeping q symbolic
@@ -44,26 +46,23 @@ relations against the second-kind triangle
 
 and the q = 1 specialization of the shift law where the right side is a
 binomial convolution of classical Cauchy numbers.  Each returns None on
-success and a description of the first failing case otherwise.  Each
-runs one pass of a ``FirstKindContext`` for n, which builds what row n
-reads, and calls the check of row n only; a verification run makes one
-context for its n_max and calls the check of every row of each pass, a
-shift law once per shift value.  The three shift laws, like the Stirling
-closed form, take their right side from one ``BiPoly.sum_of_products``
-over the ``triangles.shift_weights`` of n, made from one rising-factorial
-list.  The oracles above never read a context.  Rational arguments are
-ints or Fractions; anything else is a TypeError.
+success and a description of the first failing case otherwise: the outcome
+of the check of row n of one ``FirstKindContext`` pass, whose docstring
+says how the checks are built and read.  The three shift laws, like the
+Stirling closed form, take their right side from one
+``BiPoly.sum_of_products`` over the ``triangles.shift_weights`` of n, made
+from one rising-factorial list.  The oracles above never read a context.
+Rational arguments are ints or Fractions; anything else is a TypeError.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import triangles
 from .poly import ONE, Q, R, BiPoly, as_rational
@@ -75,6 +74,8 @@ from .triangles import (
     shift_weights,
     stirling_first_row,
 )
+
+T = TypeVar("T")
 
 
 class CauchyKind(enum.Enum):
@@ -98,18 +99,19 @@ def cauchy_of_row(kind: CauchyKind, row: Sequence[BiPoly]) -> BiPoly:
     return _row_sum(row, alternating=True).subst_r(-1, 0)
 
 
-def _last_row(rows: Iterator[list], n: int) -> list:
-    """Row n of rows 0..n.  Each row before it is dropped as soon as it is made:
-    ``deque(rows, maxlen=1)`` or a for loop would hold it while the step makes
-    the next, and so hold two rows, not the step's one."""
-    return next(islice(rows, n, None))
+def _nth(items: Iterator[T], n: int) -> T:
+    """Item n of a one-pass builder: a triangle row, an oracle value or a check.
+    Each item before it is dropped as soon as it is made: a for loop, or a queue
+    that keeps the last item, would hold item n - 1 while the pass makes item n,
+    and so hold two triangle rows, not the row step's one."""
+    return next(islice(items, n, None))
 
 
 def cauchy_poly(kind: CauchyKind, n: int) -> BiPoly:
     """c_n(r) or chat_n(r) as a polynomial in q and r, from the last first-kind row only."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return cauchy_of_row(kind, _last_row(triangles.triangle_rows(TriangleKind.WHITNEY_FIRST, n), n))
+    return cauchy_of_row(kind, _nth(triangles.triangle_rows(TriangleKind.WHITNEY_FIRST, n), n))
 
 
 def cauchy_first(n: int) -> BiPoly:
@@ -155,14 +157,12 @@ def cauchy_second_integrals(n_max: int) -> Iterator[BiPoly]:
 
 def cauchy_first_integral(n: int) -> BiPoly:
     """Oracle for c_n(r); see ``cauchy_first_integrals``."""
-    *_, last = cauchy_first_integrals(n)
-    return last
+    return _nth(cauchy_first_integrals(n), n)
 
 
 def cauchy_second_integral(n: int) -> BiPoly:
     """Oracle for chat_n(r); see ``cauchy_second_integrals``."""
-    *_, last = cauchy_second_integrals(n)
-    return last
+    return _nth(cauchy_second_integrals(n), n)
 
 
 def cauchy_first_via_stirling(n: int) -> BiPoly:
@@ -174,8 +174,7 @@ def cauchy_first_via_stirling(n: int) -> BiPoly:
     the shift law from r = 0, where the inner sum is c_i(0), the
     one-parameter number ``q_cauchy_number(FIRST, i)``.
     """
-    *_, last = cauchy_first_stirling_sums(n)
-    return last
+    return _nth(cauchy_first_stirling_sums(n), n)
 
 
 def cauchy_first_stirling_sums(n_max: int) -> Iterator[BiPoly]:
@@ -201,11 +200,10 @@ def cauchy_value(kind: CauchyKind, n: int, q0: Fraction | int, r0: Fraction | in
     powers, rows = triangles.scaled_rows(
         TriangleKind.WHITNEY_FIRST, n, q0, -as_rational(r0) if second else r0
     )
-    row = _last_row(rows, n)
     common = lcm(*range(1, n + 2))
     total = sum(
         (-u if second and k % 2 else u) * powers[k] * (common // (k + 1))
-        for k, u in enumerate(row)
+        for k, u in enumerate(_nth(rows, n))
     )
     return Fraction(total, common * powers[n])
 
@@ -236,11 +234,6 @@ def _mismatch(lhs: BiPoly, rhs: BiPoly, context: str) -> str | None:
     return None if lhs == rhs else f"{context}: lhs={lhs}, rhs={rhs}"
 
 
-def _last(checks: Iterator[Callable[[], str | None]]) -> str | None:
-    """Run a pass to its end, building what its last row reads, and call only that row's check."""
-    return deque(checks, maxlen=1).pop()()
-
-
 class FirstKindContext:
     """One first-kind triangle and what the identity checks read from its rows.
 
@@ -255,7 +248,13 @@ class FirstKindContext:
     Each ``*_checks`` method takes one identity through n = 0..n_max in one
     pass, building what row n reads as it goes (at r = s for a shift law,
     not kept past the pass), and yields one check per n: a function that
-    compares row n when called and returns None or its first failure.
+    compares row n when called and returns None or its first failure.  A
+    per-n ``*_counterexample`` makes a context for its n, reads the check of
+    row n through ``_nth`` and calls that one alone, so the rows before n are
+    built but not compared; a verification run makes one context for its
+    n_max and calls every check of each pass, a shift law once per shift
+    value.  The triangles are read through the module attributes so that a
+    replaced triangle, such as a test's corrupted one, is the one checked.
     """
 
     def __init__(self, n_max: int):
@@ -354,7 +353,7 @@ def shift_counterexample(n: int, s: Fraction | int) -> str | None:
     while the rising factorial carries the r dependence.  Every c_j is a
     row sum of the one triangle built for n.
     """
-    return _last(FirstKindContext(n).shift_checks(as_rational(s)))
+    return _nth(FirstKindContext(n).shift_checks(as_rational(s)), n)()
 
 
 def inversion_counterexample(n: int) -> str | None:
@@ -364,7 +363,7 @@ def inversion_counterexample(n: int) -> str | None:
     sum_k W(n, k) chat_k(-r) to (-1)^n/(n+1); chat_k(-r) is the alternating
     row sum itself.  Both sums read the rows of one first-kind triangle.
     """
-    return _last(FirstKindContext(n).inversion_checks())
+    return _nth(FirstKindContext(n).inversion_checks(), n)()
 
 
 def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
@@ -374,7 +373,7 @@ def cheon_counterexample(n: int, s: Fraction | int) -> str | None:
 
         w_{r+s}(n, k) = sum_j (-1)^(n-j) C(n, j) [r|q]_(n-j) w_s(j, k).
     """
-    return _last(FirstKindContext(n).cheon_checks(as_rational(s)))
+    return _nth(FirstKindContext(n).cheon_checks(as_rational(s)), n)()
 
 
 def classical_shift_counterexample(n: int) -> str | None:
@@ -383,4 +382,4 @@ def classical_shift_counterexample(n: int) -> str | None:
     c_n(r) at q = 1 must equal
     sum_i C(n, i) (-1)^(n-i) [r|1]_(n-i) c_i with c_i the classical numbers.
     """
-    return _last(FirstKindContext(n).classical_checks())
+    return _nth(FirstKindContext(n).classical_checks(), n)()

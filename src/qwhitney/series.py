@@ -32,6 +32,7 @@ and polynomial constructors must reproduce.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 from typing import Iterator
 
@@ -149,23 +150,10 @@ def binomial_power(a: BiPoly, order: int) -> Series:
     return log1p_qt_over_q(order).scale(a).exp()
 
 
-def expm1_div(s: Series) -> Series:
-    """(exp(s) - 1) / s for a series s with zero constant term.
-
-    Computed directly as sum_{k>=0} s^k / (k+1)!, which needs no division:
-    each term is the one before times s / (k+1), so each power is scaled once.
-    """
-    if not s.coeff(0).is_zero():
-        raise ValueError("expm1_div requires a series with zero constant term")
-    term = total = Series.one(s.order)
-    for k in range(1, s.order + 1):
-        term = (term * s).scale(Fraction(1, k + 1))
-        total = total + term
-    return total
-
-
-def _exp_terms(s: Series, k_max: int) -> Iterator[Series]:
-    """s^k / k! for k = 0..k_max, each the one before times s / k.
+def _exp_terms(s: Series, k_max: int, shift: int = 0) -> Iterator[Series]:
+    """s^k / (k + shift)! for k = 0..k_max and shift 0 or 1 (so that the first
+    term is 1), each the one before times s / (k + shift): each power is scaled
+    once.  Shift 0 gives the column EGFs, shift 1 the Cauchy EGFs.
 
     Every coefficient of L^k is a single power of q, so for s = L each step
     is cheap.
@@ -173,8 +161,21 @@ def _exp_terms(s: Series, k_max: int) -> Iterator[Series]:
     term = Series.one(s.order)
     yield term
     for k in range(1, k_max + 1):
-        term = (term * s).scale(Fraction(1, k))
+        term = (term * s).scale(Fraction(1, k + shift))
         yield term
+
+
+def expm1_div(s: Series) -> Series:
+    """(exp(s) - 1) / s for a series s with zero constant term.
+
+    Computed directly as sum_{k>=0} s^k / (k+1)!, which needs no division,
+    over the terms of ``_exp_terms`` at shift 1, the first of them starting
+    the sum; s^k vanishes past the order, so k = 0..order is the whole sum.
+    """
+    if not s.coeff(0).is_zero():
+        raise ValueError("expm1_div requires a series with zero constant term")
+    terms = _exp_terms(s, s.order, 1)
+    return sum(terms, next(terms))
 
 
 def whitney_column_egfs(order: int) -> Iterator[Series]:
@@ -190,20 +191,18 @@ def whitney_column_egf(k: int, order: int) -> Series:
         raise ValueError("column index must be nonnegative")
     if k > order:
         return Series.zero(order)  # L has no constant term, so L^k starts at t^k
-    *_, power = _exp_terms(log1p_qt_over_q(order), k)
+    power = next(islice(_exp_terms(log1p_qt_over_q(order), k), k, None))
     return binomial_power(-R, order) * power
 
 
 def cauchy_first_egf(order: int) -> Series:
     """EGF of the first Cauchy polynomials: (1+q*t)^(-r/q) * sum_k L^k/(k+1)!."""
-    L = log1p_qt_over_q(order)
-    return binomial_power(-R, order) * expm1_div(L)
+    return binomial_power(-R, order) * expm1_div(log1p_qt_over_q(order))
 
 
 def cauchy_second_egf(order: int) -> Series:
     """EGF of the second Cauchy polynomials: (1+q*t)^(r/q) * (exp(-L)-1)/(-L)."""
-    L = log1p_qt_over_q(order)
-    return binomial_power(R, order) * expm1_div(L.scale(-1))
+    return binomial_power(R, order) * expm1_div(log1p_qt_over_q(order).scale(-1))
 
 
 def egf_term(s: Series, n: int) -> BiPoly:

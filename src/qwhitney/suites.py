@@ -21,22 +21,18 @@ carrying the check count and the counterexample messages for any failures;
 the command-line front end turns those into exit codes.  All checks are
 exact structural comparisons of canonical polynomials.
 
-One ``cauchy.FirstKindContext`` serves every suite of a run.  It builds
-the first- and second-kind triangles at most once, through the module
-attributes ``triangles.whitney_first`` and ``triangles.whitney_second``,
-and only when a suite first reads them, so the work stays inside that
-suite.  It also keeps the row sums and the shift weights that the Cauchy
-polynomials and the shift laws read.  The shift and cheon suites take the
-shift values one at a time, each in one pass over n = 0..n_max, and a
-failing suite lists its counterexamples in that order; what a pass
-substitutes at r = s is dropped before the next value.
-The context holds results only: the oracles they are checked against
-(the integrals, the Stirling closed forms, the q-numbers and the
-generating functions) are built by their own code paths and never read
-it.  Each oracle is built in one pass per suite, for n = 0..n_max in
-turn: the integrals of each kind over one growing product, the Stirling
-sums and the closed-form rows over one rising-factorial list, and the
-column EGFs over one (1 + qt)^(-r/q).
+One ``cauchy.FirstKindContext`` serves every suite of a run; its class
+docstring says what it builds, keeps and checks.  Each part is built when
+a suite first reads it, so the work stays inside that suite.  The shift
+and cheon suites take the shift values one at a time, each in one pass
+over n = 0..n_max, and a failing suite lists its counterexamples in that
+order.  The oracles that the context is checked against (the integrals,
+the Stirling closed forms, the q-numbers and the generating functions)
+are built by their own code paths and never read it.  Each oracle is
+built in one pass per suite, for n = 0..n_max in turn: the integrals of
+each kind over one growing product, the Stirling sums and the closed-form
+rows over one rising-factorial list, and the column EGFs over one
+(1 + qt)^(-r/q).
 """
 
 from __future__ import annotations

@@ -167,10 +167,10 @@ class TestLogSeries:
     def test_expm1_div_constant_term(self, s):
         assert expm1_div(s).coeff(0) == ONE
 
-    def test_division_free_form_is_consistent_with_exp(self):
-        L = log1p_qt_over_q(8)
-        lhs = L * expm1_div(L) + Series.one(8)
-        assert lhs == L.exp()
+    @given(zero_constant_series(4))
+    @example(log1p_qt_over_q(8))
+    def test_division_free_form_is_consistent_with_exp(self, s):
+        assert s * expm1_div(s) + Series.one(s.order) == s.exp()
 
 
 class TestGeneratingFunctions:
